@@ -17,6 +17,12 @@ type Event struct {
 // machines; the caller must deliver OnActivate/OnPrecharge in time order
 // and may call Advance at any time to flush time-driven events (ImPress-N
 // window boundaries).
+//
+// The event slices OnActivate, OnPrecharge and Advance return are backed
+// by a buffer the policy owns: a slice is valid only until the next call
+// on the same policy, so the caller feeds it to the tracker (or copies
+// it) first. No event means a nil slice. This keeps the per-ACT path
+// allocation-free.
 type BankPolicy interface {
 	// OnActivate is invoked when an ACT opens row at time now. The
 	// returned events must be fed to the tracker immediately.
@@ -74,10 +80,14 @@ func NewBankPolicy(d Design) BankPolicy {
 }
 
 // perActPolicy implements the classic Rowhammer feed: weight One at ACT.
-type perActPolicy struct{}
+type perActPolicy struct {
+	out [1]Event
+}
 
+//impress:hotpath
 func (p *perActPolicy) OnActivate(_ dram.Tick, row int64) []Event {
-	return []Event{{Row: row, Weight: clm.One}}
+	p.out[0] = Event{Row: row, Weight: clm.One}
+	return p.out[:]
 }
 
 func (p *perActPolicy) OnPrecharge(dram.Tick, int64, dram.Tick) []Event { return nil }
@@ -95,12 +105,15 @@ func (p *perActPolicy) Restore(PolicyState) {}
 // precision (Fig. 11).
 type impressPPolicy struct {
 	calc clm.Calculator
+	out  [1]Event
 }
 
 func (p *impressPPolicy) OnActivate(dram.Tick, int64) []Event { return nil }
 
+//impress:hotpath
 func (p *impressPPolicy) OnPrecharge(_ dram.Tick, row int64, tON dram.Tick) []Event {
-	return []Event{{Row: row, Weight: p.calc.FromTON(tON)}}
+	p.out[0] = Event{Row: row, Weight: p.calc.FromTON(tON)}
+	return p.out[:]
 }
 
 func (p *impressPPolicy) Advance(dram.Tick) []Event { return nil }
@@ -130,6 +143,8 @@ type impressNPolicy struct {
 	openRow   int64
 	openValid bool
 	openAt    dram.Tick // when the row finished activating (ACT time + tACT)
+
+	out []Event // backs the returned event slices
 }
 
 func newImpressNPolicy(t dram.Timings) *impressNPolicy {
@@ -147,13 +162,15 @@ func newImpressNPolicy(t dram.Timings) *impressNPolicy {
 // completed (ACT time + tACT): this is what the Fig. 10 decoy pattern
 // exploits — an ACT issued just before the boundary is "still not yet
 // opened" and evades the ORA latch.
-func (p *impressNPolicy) flush(now dram.Tick) []Event {
-	var events []Event
+//
+// flush restarts the policy's event buffer; callers append to it.
+func (p *impressNPolicy) flush(now dram.Tick) {
+	p.out = p.out[:0]
 	for p.nextBoundary <= now {
 		b := p.nextBoundary
 		if p.openValid && p.openAt <= b {
 			if p.oraValid && p.ora == p.openRow && p.openAt <= b-p.t.TRC {
-				events = append(events, Event{Row: p.openRow, Weight: clm.One})
+				p.out = append(p.out, Event{Row: p.openRow, Weight: clm.One})
 			}
 			p.ora = p.openRow
 			p.oraValid = true
@@ -162,26 +179,37 @@ func (p *impressNPolicy) flush(now dram.Tick) []Event {
 		}
 		p.nextBoundary += p.t.TRC
 	}
-	return events
 }
 
+// events returns the buffered events, nil when there are none.
+func (p *impressNPolicy) events() []Event {
+	if len(p.out) == 0 {
+		return nil
+	}
+	return p.out
+}
+
+//impress:hotpath
 func (p *impressNPolicy) OnActivate(now dram.Tick, row int64) []Event {
-	events := p.flush(now)
+	p.flush(now)
 	p.openRow = row
 	p.openValid = true
 	p.openAt = now + p.t.TACT
-	events = append(events, Event{Row: row, Weight: clm.One})
-	return events
+	p.out = append(p.out, Event{Row: row, Weight: clm.One})
+	return p.out
 }
 
+//impress:hotpath
 func (p *impressNPolicy) OnPrecharge(now dram.Tick, _ int64, _ dram.Tick) []Event {
-	events := p.flush(now)
+	p.flush(now)
 	p.openValid = false
-	return events
+	return p.events()
 }
 
+//impress:hotpath
 func (p *impressNPolicy) Advance(now dram.Tick) []Event {
-	return p.flush(now)
+	p.flush(now)
+	return p.events()
 }
 
 func (p *impressNPolicy) NextEvent() dram.Tick { return p.nextBoundary }

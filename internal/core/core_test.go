@@ -279,3 +279,29 @@ func TestDesignNames(t *testing.T) {
 		t.Fatal("ImPress-N name: " + NewDesign(ImpressN).Name())
 	}
 }
+
+// TestBankPolicyMethodsDoNotAllocate is the policies' allocation gate:
+// every BankPolicy method of every design returns events from a buffer
+// the policy owns, so a steady ACT/PRE/Advance stream never allocates.
+// Each round holds the row open across window boundaries, so ImPress-N
+// emits synthetic events too.
+func TestBankPolicyMethodsDoNotAllocate(t *testing.T) {
+	tm := dram.DDR5()
+	for _, k := range []Kind{NoRP, ExPress, ImpressN, ImpressP} {
+		p := NewBankPolicy(NewDesign(k))
+		now := dram.Tick(0)
+		round := func() {
+			p.OnActivate(now, 7)
+			p.OnPrecharge(now+3*tm.TRC, 7, 3*tm.TRC)
+			p.Advance(now + 5*tm.TRC)
+			p.NextEvent()
+			now += 6 * tm.TRC
+		}
+		for i := 0; i < 16; i++ { // size the ImPress-N event buffer
+			round()
+		}
+		if n := testing.AllocsPerRun(1000, round); n != 0 {
+			t.Errorf("%v: %v allocations per ACT/PRE/Advance round, want 0", k, n)
+		}
+	}
+}

@@ -404,7 +404,8 @@ func (c *Controller) feed(cc *channelCtl, b int, events []core.Event, demandACT 
 			if len(bank.mitigQ) == 0 && !bank.mitigOpen {
 				cc.mitigBanks = append(cc.mitigBanks, b)
 			}
-			bank.mitigQ = append(bank.mitigQ, trackers.VictimsOf(aggressor)...)
+			victims := trackers.VictimsOf(aggressor)
+			bank.mitigQ = append(bank.mitigQ, victims[:]...)
 			cc.stats.Mitigations++
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -65,6 +66,12 @@ type Store struct {
 	hits, misses, writes, writeErrors atomic.Int64
 	ckptHits, ckptMisses, ckptWrites  atomic.Int64
 	atkHits, atkMisses, atkWrites     atomic.Int64
+
+	// sweepMu keeps this handle's GC from sweeping a shard directory a
+	// writer of the same handle is between MkdirAll and rename in:
+	// writers hold it shared, the sweep exclusively. Writers in other
+	// processes rely on Put's retry instead.
+	sweepMu sync.RWMutex
 
 	// afterMkdir, when non-nil, runs between writeEntry's MkdirAll and
 	// its CreateTemp. Tests use it to interleave a GC sweep into the
@@ -286,6 +293,8 @@ func (st *Store) put(s Spec, res sim.Result) error {
 // writeEntry performs one atomic create-temp-then-rename attempt for an
 // entry file, creating its shard directory first.
 func (st *Store) writeEntry(path string, k Key, data []byte) error {
+	st.sweepMu.RLock()
+	defer st.sweepMu.RUnlock()
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
@@ -356,7 +365,9 @@ const tempTTL = time.Hour
 
 // walk visits every regular file in the store's entry layout, reporting
 // each as a validated record or an invalid file; fresh in-flight temp
-// files of concurrent writers are skipped.
+// files of concurrent writers are skipped, and so is a file that
+// vanished after the directory was read (a writer's temp file renamed
+// into place, or a concurrent GC's removal).
 func (st *Store) walk(valid func(path string, size int64, rec record), invalid func(path string, size int64)) error {
 	return filepath.WalkDir(st.dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -366,6 +377,9 @@ func (st *Store) walk(valid func(path string, size int64, rec record), invalid f
 			return nil
 		}
 		info, err := d.Info()
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
@@ -418,7 +432,11 @@ func (st *Store) GC() (removed int, freed int64, err error) {
 		return 0, 0, fmt.Errorf("resultstore: %w", err)
 	}
 	for i, p := range paths {
-		if rmErr := os.Remove(p); rmErr != nil {
+		rmErr := os.Remove(p)
+		if errors.Is(rmErr, fs.ErrNotExist) {
+			continue // already gone: a concurrent GC got there first
+		}
+		if rmErr != nil {
 			return removed, freed, fmt.Errorf("resultstore: %w", rmErr)
 		}
 		removed++
@@ -431,11 +449,13 @@ func (st *Store) GC() (removed int, freed int64, err error) {
 	if err != nil {
 		return removed, freed, fmt.Errorf("resultstore: %w", err)
 	}
+	st.sweepMu.Lock()
 	for _, d := range shards {
 		if d.IsDir() {
 			_ = os.Remove(filepath.Join(st.dir, d.Name()))
 		}
 	}
+	st.sweepMu.Unlock()
 	return removed, freed, nil
 }
 

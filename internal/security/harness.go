@@ -129,84 +129,82 @@ func Run(cfg Config, pattern attack.Pattern) Result {
 // row is open are applied when it closes, since victim rows share the
 // bank and cannot be activated while another row is open.
 func RunContext(ctx context.Context, cfg Config, pattern attack.Pattern) (Result, error) {
-	t := cfg.Design.Timings
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	done := ctx.Done()
-	accesses := 0
+	t := cfg.Design.Timings
 	duration := cfg.Duration
 	if duration == 0 {
 		duration = t.TREFW
 	}
-
-	policy := core.NewBankPolicy(cfg.Design)
 	tr := cfg.Tracker(cfg.Design.TrackerTRH(cfg.DesignTRH))
-	model := clm.Model{Alpha: cfg.AlphaTrue, Timings: t}
-	openLimit := cfg.Design.RowOpenLimit()
+	h := &harness{
+		t:         t,
+		policy:    core.NewBankPolicy(cfg.Design),
+		tr:        tr,
+		model:     clm.Model{Alpha: cfg.AlphaTrue, Timings: t},
+		openLimit: cfg.Design.RowOpenLimit(),
+		rawRFM:    cfg.RFMPaceOnRawACTs,
+		rfm:       tr.InDRAM() && cfg.RFMTH > 0,
+		rfmDue:    clm.EACT(cfg.RFMTH) * clm.One,
+		res:       Result{Pattern: pattern.Name()},
+		damage:    damagePages{index: make(map[int64]*damagePage)},
+	}
+	return h.run(ctx, pattern, duration)
+}
 
-	res := Result{Pattern: pattern.Name()}
-	damage := make(map[int64]float64)
-	now := dram.Tick(0)
-	served := int64(0)
-	windowEnd := t.TREFW
+// harness is one run's single-bank state.
+type harness struct {
+	t         dram.Timings
+	policy    core.BankPolicy
+	tr        trackers.Tracker
+	model     clm.Model
+	openLimit dram.Tick
+	rawRFM    bool     // Config.RFMPaceOnRawACTs
+	rfm       bool     // an in-DRAM tracker with an RFM cadence
+	rfmDue    clm.EACT // weighted activations between RFMs
+
+	res    Result
+	damage damagePages
 	// RFM pacing operates on the same weighted activation stream the
 	// tracker sees: under No-RP and ExPress every ACT contributes exactly
 	// One, reproducing the plain DDR5 RAA counter; under ImPress the
 	// Row-Press-equivalent activity also advances the counter, so a
 	// pressing attacker cannot starve an in-DRAM tracker of mitigation
 	// opportunities.
-	var eactSinceRFM clm.EACT
+	eactSinceRFM clm.EACT
+	pending      []int64 // aggressor rows awaiting victim refresh
+}
 
-	var pending []int64 // aggressor rows awaiting victim refresh
-
-	feed := func(events []core.Event) {
-		for _, ev := range events {
-			if cfg.RFMPaceOnRawACTs {
-				eactSinceRFM += clm.One
-			} else {
-				eactSinceRFM += ev.Weight
-			}
-			pending = append(pending, tr.OnActivation(ev.Row, ev.Weight)...)
-		}
-	}
-	refreshVictims := func(aggressor int64) {
-		for _, v := range trackers.VictimsOf(aggressor) {
-			damage[v] = 0
-		}
-	}
-	accrue := func(row int64, tON dram.Tick) {
-		d := model.AccessTCL(tON)
-		for _, v := range trackers.VictimsOf(row) {
-			damage[v] += d
-			if damage[v] > res.MaxDamage {
-				res.MaxDamage = damage[v]
-			}
-		}
-	}
-
-	for now < duration {
+// run is the access loop: it replays pattern until duration and returns
+// the measured result.
+//
+//impress:hotpath
+func (h *harness) run(ctx context.Context, pattern attack.Pattern, duration dram.Tick) (Result, error) {
+	t := h.t
+	model := h.model // a local receiver: AccessTCL copies no struct per access
+	done := ctx.Done()
+	now := dram.Tick(0)
+	served := int64(0)
+	windowEnd := t.TREFW
+	for accesses := 0; now < duration; accesses++ {
 		if done != nil && accesses&0xff == 0 {
 			select {
 			case <-done:
-				return Result{}, fmt.Errorf("security: %s stopped at tick %d: %w",
-					pattern.Name(), now, errs.Cancelled(ctx.Err()))
+				return Result{}, cancelled(ctx, pattern, now)
 			default:
 			}
 		}
-		accesses++
 		// Serve any refreshes that have come due while the bank is idle.
 		if due := int64(now/t.TREFI) - served; due > 0 {
 			now += dram.Tick(due) * t.TRFC
 			served += due
-			res.Refreshes += uint64(due)
+			h.res.Refreshes += uint64(due)
 		}
 		// Refresh-window boundary: every victim has been refreshed.
 		if now >= windowEnd {
-			for r := range damage {
-				damage[r] = 0
-			}
-			tr.ResetWindow()
+			h.damage.reset()
+			h.tr.ResetWindow()
 			windowEnd += t.TREFW
 		}
 
@@ -219,42 +217,129 @@ func RunContext(ctx context.Context, cfg Config, pattern attack.Pattern) (Result
 		if tON < t.TRAS {
 			tON = t.TRAS
 		}
-		if tON > openLimit {
+		if tON > h.openLimit {
 			// ExPress's tMRO (or the DDR5 tONMax) forces the row closed.
-			tON = openLimit
+			tON = h.openLimit
 		}
 
-		feed(policy.OnActivate(actAt, acc.Row))
-		res.DemandACTs++
+		h.feed(h.policy.OnActivate(actAt, acc.Row))
+		h.res.DemandACTs++
 
 		closeAt := actAt + tON
-		accrue(acc.Row, tON)
-		feed(policy.OnPrecharge(closeAt, acc.Row, tON))
+		h.accrue(acc.Row, model.AccessTCL(tON))
+		h.feed(h.policy.OnPrecharge(closeAt, acc.Row, tON))
 		now = closeAt + t.TPRE
 
 		// Apply memory-controller mitigations queued during this access.
-		for _, aggressor := range pending {
-			refreshVictims(aggressor)
-			res.Mitigations++
-			res.MitigativeACTs += trackers.ActsPerMitigation
+		for _, aggressor := range h.pending {
+			h.refreshVictims(aggressor)
+			h.res.Mitigations++
+			h.res.MitigativeACTs += trackers.ActsPerMitigation
 			cost := dram.Tick(trackers.ActsPerMitigation) * t.TRC
 			now += cost
-			res.MitigationTime += cost
+			h.res.MitigationTime += cost
 		}
-		pending = pending[:0]
+		h.pending = h.pending[:0]
 
 		// RFM cadence for in-DRAM trackers: due every RFMTH units of
 		// weighted activation.
-		if tr.InDRAM() && cfg.RFMTH > 0 && eactSinceRFM >= clm.EACT(cfg.RFMTH)*clm.One {
-			eactSinceRFM = 0
+		if h.rfm && h.eactSinceRFM >= h.rfmDue {
+			h.eactSinceRFM = 0
 			now += t.TRFM
-			res.RFMs++
-			for _, aggressor := range tr.OnRFM() {
-				refreshVictims(aggressor)
-				res.Mitigations++
+			h.res.RFMs++
+			for _, aggressor := range h.tr.OnRFM() {
+				h.refreshVictims(aggressor)
+				h.res.Mitigations++
 			}
 		}
 	}
-	res.Elapsed = now
-	return res, nil
+	h.res.Elapsed = now
+	return h.res, nil
+}
+
+// cancelled builds the error for a run stopped at tick now.
+//
+//impress:coldpath
+func cancelled(ctx context.Context, pattern attack.Pattern, now dram.Tick) error {
+	return fmt.Errorf("security: %s stopped at tick %d: %w",
+		pattern.Name(), now, errs.Cancelled(ctx.Err()))
+}
+
+// feed hands policy events to the tracker, queueing its mitigations.
+func (h *harness) feed(events []core.Event) {
+	for _, ev := range events {
+		if h.rawRFM {
+			h.eactSinceRFM += clm.One
+		} else {
+			h.eactSinceRFM += ev.Weight
+		}
+		h.pending = append(h.pending, h.tr.OnActivation(ev.Row, ev.Weight)...)
+	}
+}
+
+// refreshVictims clears the damage of an aggressor's victims.
+func (h *harness) refreshVictims(aggressor int64) {
+	for _, v := range trackers.VictimsOf(aggressor) {
+		*h.damage.at(v) = 0
+	}
+}
+
+// accrue charges one access of row, inflicting damage d, to its victims.
+func (h *harness) accrue(row int64, d float64) {
+	peak := h.res.MaxDamage
+	for _, v := range trackers.VictimsOf(row) {
+		p := h.damage.at(v)
+		*p += d
+		if *p > peak {
+			peak = *p
+		}
+	}
+	h.res.MaxDamage = peak
+}
+
+// damagePageBits sizes a damage page: 64 adjacent rows, so an
+// aggressor's victims almost always share one page.
+const damagePageBits = 6
+
+// damagePage holds the accumulated damage of 1<<damagePageBits adjacent
+// rows, in TRH units.
+type damagePage [1 << damagePageBits]float64
+
+// damageCacheSize is the number of direct-mapped page-cache lines: it
+// covers an aggressor's page plus a rotating decoy sweep's recent pages.
+const damageCacheSize = 64
+
+// damagePages is the per-row damage store: pages of adjacent rows,
+// allocated on first touch, found through a direct-mapped cache in
+// front of the page map.
+type damagePages struct {
+	index map[int64]*damagePage // row >> damagePageBits -> page
+	pages []*damagePage         // every page, for the window reset
+	cache [damageCacheSize]struct {
+		key  int64
+		page *damagePage
+	}
+}
+
+// at returns row's damage cell.
+func (d *damagePages) at(row int64) *float64 {
+	key := row >> damagePageBits
+	line := &d.cache[key&(damageCacheSize-1)]
+	if line.page == nil || line.key != key {
+		p, ok := d.index[key]
+		if !ok {
+			p = new(damagePage)
+			d.index[key] = p
+			d.pages = append(d.pages, p)
+		}
+		line.key, line.page = key, p
+	}
+	return &line.page[row&(1<<damagePageBits-1)]
+}
+
+// reset zeroes every row's damage.
+func (d *damagePages) reset() {
+	for _, p := range d.pages {
+		*p = damagePage{}
+	}
 }

@@ -77,3 +77,24 @@ func BenchmarkPRACOnActivation(b *testing.B) {
 		p.OnActivation(int64(i%65536), clm.One)
 	}
 }
+
+// BenchmarkFullTableEviction is the Space-Saving worst case at the
+// largest table sizes the paper provisions (T* = 2K): every activation
+// names a new row on a full table, so each one evicts the minimum entry
+// through the table's tournament index.
+func BenchmarkFullTableEviction(b *testing.B) {
+	for _, tr := range []Tracker{NewGraphene(2000), NewMithril(2000, 80), NewABACuS(100)} {
+		b.Run(tr.Name(), func(b *testing.B) {
+			row := int64(0)
+			for ; row < 4096; row++ { // fill the table and build its index
+				tr.OnActivation(row, clm.One)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.OnActivation(row, clm.One)
+				row++
+			}
+		})
+	}
+}

@@ -35,6 +35,7 @@ type Hydra struct {
 	rows map[int64]clm.EACT // exact counters for rows of spilled groups
 
 	mitigations uint64
+	out         oneRow
 }
 
 // HydraGroups is the per-bank GCT size (power of two so the group hash
@@ -80,10 +81,10 @@ func (h *Hydra) group(row int64) int64 {
 
 // OnActivation implements Tracker: aggregate counting until the group
 // spills, exact per-row counting afterwards.
+//
+//impress:hotpath
 func (h *Hydra) OnActivation(row int64, weight clm.EACT) []int64 {
-	if weight == 0 {
-		panic("trackers: zero-weight activation")
-	}
+	mustWeigh(weight)
 	g := h.group(row)
 	if h.gct[g] < h.groupSpill {
 		h.gct[g] += weight
@@ -106,7 +107,7 @@ func (h *Hydra) OnActivation(row int64, weight clm.EACT) []int64 {
 	if c >= h.rowThreshold {
 		h.rows[row] = 0
 		h.mitigations++
-		return []int64{row}
+		return h.out.of(row)
 	}
 	h.rows[row] = c
 	return nil

@@ -35,6 +35,7 @@ type MINT struct {
 	sarValid bool
 
 	mitigations uint64
+	out         oneRow
 }
 
 // MINTBaseTolerated is the tolerated Rowhammer threshold per unit of
@@ -93,10 +94,10 @@ func (m *MINT) Mitigations() uint64 { return m.mitigations }
 
 // OnActivation implements Tracker: advance CAN by the activation's weight
 // and capture the row if it crosses the selected slot.
+//
+//impress:hotpath
 func (m *MINT) OnActivation(row int64, weight clm.EACT) []int64 {
-	if weight == 0 {
-		panic("trackers: zero-weight activation")
-	}
+	mustWeigh(weight)
 	prev := m.can
 	m.can += weight
 	if prev < m.san && m.san <= m.can {
@@ -108,10 +109,12 @@ func (m *MINT) OnActivation(row int64, weight clm.EACT) []int64 {
 
 // OnRFM implements Tracker: mitigate the captured row (if any), then reset
 // the interval.
+//
+//impress:hotpath
 func (m *MINT) OnRFM() []int64 {
 	var out []int64
 	if m.sarValid {
-		out = []int64{m.sar}
+		out = m.out.of(m.sar)
 		m.mitigations++
 	}
 	m.sarValid = false

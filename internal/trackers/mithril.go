@@ -14,15 +14,8 @@ import (
 // highest counter and that row's counter drops to the table minimum so it
 // must re-earn the next mitigation.
 type Mithril struct {
-	entries int
-	rfmth   int
-
-	rows      map[int64]int
-	slotRow   []int64
-	slotCount []clm.EACT
-	slotUsed  []bool
-
-	mitigations uint64
+	rfmth int
+	table slotTable
 }
 
 // MithrilEntries returns the per-bank entry count required to tolerate trh
@@ -64,14 +57,7 @@ func NewMithrilRaw(entries, rfmth int) *Mithril {
 	if entries <= 0 || rfmth <= 0 {
 		panic("trackers: invalid Mithril configuration")
 	}
-	return &Mithril{
-		entries:   entries,
-		rfmth:     rfmth,
-		rows:      make(map[int64]int, entries),
-		slotRow:   make([]int64, entries),
-		slotCount: make([]clm.EACT, entries),
-		slotUsed:  make([]bool, entries),
-	}
+	return &Mithril{rfmth: rfmth, table: newSlotTable(entries)}
 }
 
 // Name implements Tracker.
@@ -81,115 +67,54 @@ func (m *Mithril) Name() string { return "mithril" }
 func (m *Mithril) InDRAM() bool { return true }
 
 // Entries returns the table size.
-func (m *Mithril) Entries() int { return m.entries }
+func (m *Mithril) Entries() int { return len(m.table.row) }
 
 // RFMTH returns the RFM threshold this instance was sized for.
 func (m *Mithril) RFMTH() int { return m.rfmth }
 
 // Mitigations returns the number of mitigations performed under RFM.
-func (m *Mithril) Mitigations() uint64 { return m.mitigations }
+func (m *Mithril) Mitigations() uint64 { return m.table.mitigations }
 
 // OnActivation implements Tracker with the Space-Saving update rule;
 // in-DRAM trackers never mitigate inline, so it always returns nil.
+//
+//impress:hotpath
 func (m *Mithril) OnActivation(row int64, weight clm.EACT) []int64 {
-	if weight == 0 {
-		panic("trackers: zero-weight activation")
-	}
-	slot, tracked := m.rows[row]
+	mustWeigh(weight)
+	t := &m.table
+	slot, tracked := t.rows[row]
 	if !tracked {
-		if free := m.freeSlot(); free >= 0 {
-			slot = free
-			m.slotUsed[slot] = true
-			m.slotRow[slot] = row
-			m.slotCount[slot] = 0
-			m.rows[row] = slot
-		} else {
-			slot = m.minSlot()
-			delete(m.rows, m.slotRow[slot])
-			m.slotRow[slot] = row
-			m.rows[row] = slot
-			// Space-Saving: inherit the evicted minimum count.
-		}
+		// A free slot starts from 0; an evicted one keeps the evicted
+		// minimum count (Space-Saving inheritance).
+		slot, _ = t.claim(row)
 	}
-	m.slotCount[slot] += weight
+	t.set(slot, t.count[slot]+weight)
 	return nil
 }
 
 // OnRFM implements Tracker: mitigate the highest-count row. The mitigation
 // refreshes that row's victims, clearing their accumulated damage, so the
 // row's counter resets to zero and it must re-earn the next mitigation.
+//
+//impress:hotpath
 func (m *Mithril) OnRFM() []int64 {
-	best := -1
-	var bestCount clm.EACT
-	for i := range m.slotCount {
-		if !m.slotUsed[i] {
-			continue
-		}
-		if best == -1 || m.slotCount[i] > bestCount {
-			best = i
-			bestCount = m.slotCount[i]
-		}
-	}
-	if best < 0 || bestCount == 0 {
+	t := &m.table
+	best := t.maxSlot()
+	if t.count[best] == 0 {
 		return nil
 	}
-	m.slotCount[best] = 0
-	m.mitigations++
-	return []int64{m.slotRow[best]}
-}
-
-func (m *Mithril) freeSlot() int {
-	if len(m.rows) >= m.entries {
-		return -1
-	}
-	for i, used := range m.slotUsed {
-		if !used {
-			return i
-		}
-	}
-	return -1
-}
-
-func (m *Mithril) minSlot() int {
-	best := -1
-	var bestCount clm.EACT
-	for i := range m.slotCount {
-		if !m.slotUsed[i] {
-			continue
-		}
-		if best == -1 || m.slotCount[i] < bestCount {
-			best = i
-			bestCount = m.slotCount[i]
-		}
-	}
-	if best < 0 {
-		panic("trackers: minSlot on empty table")
-	}
-	return best
-}
-
-func (m *Mithril) minCount() clm.EACT {
-	return m.slotCount[m.minSlot()]
+	t.set(best, 0)
+	t.mitigations++
+	return t.out.of(t.row[best])
 }
 
 // Count returns the tracked fixed-point count for row (zero if untracked).
-func (m *Mithril) Count(row int64) clm.EACT {
-	if slot, ok := m.rows[row]; ok {
-		return m.slotCount[slot]
-	}
-	return 0
-}
+func (m *Mithril) Count(row int64) clm.EACT { return m.table.countOf(row) }
 
 // ResetWindow implements Tracker.
-func (m *Mithril) ResetWindow() {
-	for i := range m.slotUsed {
-		m.slotUsed[i] = false
-		m.slotCount[i] = 0
-	}
-	m.rows = make(map[int64]int, m.entries)
-}
+func (m *Mithril) ResetWindow() { m.table.reset() }
 
 // String implements fmt.Stringer.
 func (m *Mithril) String() string {
-	return fmt.Sprintf("mithril(entries=%d, rfmth=%d)", m.entries, m.rfmth)
+	return fmt.Sprintf("mithril(entries=%d, rfmth=%d)", m.Entries(), m.rfmth)
 }

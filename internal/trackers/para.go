@@ -22,6 +22,7 @@ type PARA struct {
 	rng *stats.Rand
 
 	mitigations uint64
+	out         oneRow
 }
 
 // PARAReliabilityConstant is -ln(failure probability per attack attempt)
@@ -68,14 +69,14 @@ func (p *PARA) Mitigations() uint64 { return p.mitigations }
 
 // OnActivation implements Tracker: select the row with probability
 // p * weight (saturating at 1, as in the paper's Appendix B analysis).
+//
+//impress:hotpath
 func (p *PARA) OnActivation(row int64, weight clm.EACT) []int64 {
-	if weight == 0 {
-		panic("trackers: zero-weight activation")
-	}
+	mustWeigh(weight)
 	prob := p.p * weight.Float()
 	if p.rng.Bernoulli(prob) {
 		p.mitigations++
-		return []int64{row}
+		return p.out.of(row)
 	}
 	return nil
 }

@@ -70,10 +70,10 @@ func (p *PRAC) PendingAlerts() int { return len(p.alerted) }
 
 // OnActivation implements Tracker: increment the row's in-array counter by
 // the activation's weight; queue an ALERT when it crosses the threshold.
+//
+//impress:hotpath
 func (p *PRAC) OnActivation(row int64, weight clm.EACT) []int64 {
-	if weight == 0 {
-		panic("trackers: zero-weight activation")
-	}
+	mustWeigh(weight)
 	before := p.counts[row]
 	after := before + weight
 	p.counts[row] = after
@@ -85,13 +85,15 @@ func (p *PRAC) OnActivation(row int64, weight clm.EACT) []int64 {
 
 // OnRFM implements Tracker: service all pending alerts (the back-off
 // protocol gives the device time to refresh victims); each serviced row's
-// counter resets.
+// counter resets. The result reuses the alert queue's storage.
+//
+//impress:hotpath
 func (p *PRAC) OnRFM() []int64 {
 	if len(p.alerted) == 0 {
 		return nil
 	}
 	out := p.alerted
-	p.alerted = nil
+	p.alerted = p.alerted[:0]
 	for _, row := range out {
 		p.counts[row] = 0
 		p.mitigations++
@@ -104,7 +106,7 @@ func (p *PRAC) OnRFM() []int64 {
 // refreshed; the window model batches that).
 func (p *PRAC) ResetWindow() {
 	p.counts = make(map[int64]clm.EACT)
-	p.alerted = nil
+	p.alerted = p.alerted[:0]
 }
 
 // Count returns the row's accumulated fixed-point activation count.

@@ -32,11 +32,17 @@ type Tracker interface {
 	// weight (clm.One for a plain ACT). For memory-controller trackers it
 	// returns the aggressor rows whose victims must be refreshed now; for
 	// in-DRAM trackers it always returns nil (they mitigate at RFM).
+	//
+	// The returned slice is backed by a buffer the tracker owns: it is
+	// valid only until the next call on the same tracker, so callers
+	// consume (or copy) it first. This keeps the per-activation path
+	// allocation-free.
 	OnActivation(row int64, weight clm.EACT) []int64
 
 	// OnRFM is invoked when an RFM command reaches the bank. In-DRAM
 	// trackers return the aggressor rows they mitigate under this RFM;
-	// memory-controller trackers ignore it.
+	// memory-controller trackers ignore it. The result has the same
+	// lifetime as OnActivation's.
 	OnRFM() []int64
 
 	// ResetWindow is invoked once per refresh window (tREFW): victims have
@@ -45,17 +51,32 @@ type Tracker interface {
 	ResetWindow()
 }
 
+// oneRow backs the single-row slices trackers return (see Tracker).
+type oneRow [1]int64
+
+func (o *oneRow) of(row int64) []int64 {
+	o[0] = row
+	return o[:]
+}
+
+// mustWeigh rejects a zero-weight activation, which no policy emits.
+func mustWeigh(weight clm.EACT) {
+	if weight == 0 {
+		panic("trackers: zero-weight activation")
+	}
+}
+
 // BlastRadius is the number of rows on each side of an aggressor that must
 // be refreshed by a mitigation (the paper's Appendix B uses 2, i.e. 4
 // victim rows and 4 mitigative activations per mitigation).
 const BlastRadius = 2
 
 // VictimsOf returns the victim rows of an aggressor: BlastRadius rows on
-// each side.
-func VictimsOf(aggressor int64) []int64 {
-	victims := make([]int64, 0, 2*BlastRadius)
+// each side, nearest first.
+func VictimsOf(aggressor int64) [2 * BlastRadius]int64 {
+	var victims [2 * BlastRadius]int64
 	for d := int64(1); d <= BlastRadius; d++ {
-		victims = append(victims, aggressor-d, aggressor+d)
+		victims[2*d-2], victims[2*d-1] = aggressor-d, aggressor+d
 	}
 	return victims
 }

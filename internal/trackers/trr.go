@@ -28,6 +28,7 @@ type VendorTRR struct {
 	rng        *stats.Rand
 
 	mitigations uint64
+	out         []int64 // backs the returned mitigation slice
 }
 
 // NewVendorTRR builds a TRR sampler with the given number of sample slots
@@ -56,10 +57,10 @@ func (v *VendorTRR) Mitigations() uint64 { return v.mitigations }
 // OnActivation implements Tracker: sample the row with fixed probability
 // into a random slot (evicting whatever was there — the crowding weakness
 // TRRespass exploits).
+//
+//impress:hotpath
 func (v *VendorTRR) OnActivation(row int64, weight clm.EACT) []int64 {
-	if weight == 0 {
-		panic("trackers: zero-weight activation")
-	}
+	mustWeigh(weight)
 	if v.rng.Bernoulli(v.sampleProb) {
 		slot := v.rng.Intn(len(v.slots))
 		v.slots[slot] = row
@@ -69,16 +70,21 @@ func (v *VendorTRR) OnActivation(row int64, weight clm.EACT) []int64 {
 }
 
 // OnRFM implements Tracker: refresh the victims of every sampled row.
+//
+//impress:hotpath
 func (v *VendorTRR) OnRFM() []int64 {
-	var out []int64
+	v.out = v.out[:0]
 	for i := range v.slots {
 		if v.slotValid[i] {
-			out = append(out, v.slots[i])
+			v.out = append(v.out, v.slots[i])
 			v.slotValid[i] = false
 			v.mitigations++
 		}
 	}
-	return out
+	if len(v.out) == 0 {
+		return nil
+	}
+	return v.out
 }
 
 // ResetWindow implements Tracker.

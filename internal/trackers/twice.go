@@ -25,6 +25,7 @@ type TWiCe struct {
 	intervals   uint64
 	mitigations uint64
 	pruned      uint64
+	out         oneRow
 }
 
 type twiceEntry struct {
@@ -76,10 +77,10 @@ func (w *TWiCe) Pruned() uint64 { return w.pruned }
 func (w *TWiCe) TableSize() int { return len(w.entries) }
 
 // OnActivation implements Tracker.
+//
+//impress:hotpath
 func (w *TWiCe) OnActivation(row int64, weight clm.EACT) []int64 {
-	if weight == 0 {
-		panic("trackers: zero-weight activation")
-	}
+	mustWeigh(weight)
 	e, ok := w.entries[row]
 	if !ok {
 		e = &twiceEntry{born: w.intervals}
@@ -90,7 +91,7 @@ func (w *TWiCe) OnActivation(row int64, weight clm.EACT) []int64 {
 		e.count = 0
 		e.born = w.intervals
 		w.mitigations++
-		return []int64{row}
+		return w.out.of(row)
 	}
 	return nil
 }
