@@ -80,9 +80,16 @@ func TestArchivedAttacksStayBounded(t *testing.T) {
 			cfg.WarmupInstructions = 10_000
 			cfg.RunInstructions = 40_000
 			cfg.Clock = sim.ClockCycleAccurate
-			ca := sim.Run(cfg)
+			ca, err := sim.RunContext(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			cfg.Clock = sim.ClockEventDriven
-			if ev := sim.Run(cfg); !reflect.DeepEqual(ca, ev) {
+			ev, err := sim.RunContext(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ca, ev) {
 				t.Errorf("replay diverged across clock modes:\nCA %+v\nEV %+v", ca, ev)
 			}
 		})

@@ -8,6 +8,7 @@
 package impress_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -23,139 +24,23 @@ func benchScale() experiments.Scale {
 	}
 }
 
-func render(b *testing.B, t *experiments.Table) {
-	b.Helper()
-	if len(t.Rows) == 0 {
-		b.Fatalf("%s produced no rows", t.ID)
-	}
-	t.Render(io.Discard)
-}
-
-// --- Tables ---
-
-func BenchmarkTableI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.TableI())
-	}
-}
-
-func BenchmarkTableII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.TableII())
-	}
-}
-
-func BenchmarkTableIII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.TableIII())
-	}
-}
-
-// --- Model figures (analytical) ---
-
-func BenchmarkFigure4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure4())
-	}
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure6())
-	}
-}
-
-func BenchmarkFigure7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure7())
-	}
-}
-
-func BenchmarkFigure8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure8())
-	}
-}
-
-func BenchmarkFigure12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure12())
-	}
-}
-
-// --- Security-harness figures ---
-
-func BenchmarkEquation5WorstCase(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.ImpressNWorstCase())
-	}
-}
-
-func BenchmarkFigure18(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure18())
-	}
-}
-
-func BenchmarkFigure19(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure19())
-	}
-}
-
-func BenchmarkStorageTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.StorageTable())
-	}
-}
-
-func BenchmarkSecuritySummary(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.SecuritySummary())
-	}
-}
-
-// --- Simulation-backed figures (benchmark scale) ---
-
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure3(experiments.NewRunner(benchScale())))
-	}
-}
-
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure5(experiments.NewRunner(benchScale())))
-	}
-}
-
-func BenchmarkFigure13(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure13(experiments.NewRunner(benchScale())))
-	}
-}
-
-func BenchmarkFigure14(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure14(experiments.NewRunner(benchScale())))
-	}
-}
-
-func BenchmarkEnergyTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.EnergyTable(experiments.NewRunner(benchScale())))
-	}
-}
-
-func BenchmarkFigure15(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure15(experiments.NewRunner(benchScale())))
-	}
-}
-
-func BenchmarkFigure16(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.Figure16(experiments.NewRunner(benchScale())))
+// BenchmarkExperiments regenerates each registered experiment, one
+// sub-benchmark per ID. Every iteration builds through a fresh runner,
+// so simulation-backed tables re-simulate their declared specs.
+func BenchmarkExperiments(b *testing.B) {
+	for _, d := range experiments.Definitions() {
+		b.Run(d.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t, err := d.Build(context.Background(), experiments.NewRunner(benchScale()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(t.Rows) == 0 {
+					b.Fatalf("%s produced no rows", t.ID)
+				}
+				t.Render(io.Discard)
+			}
+		})
 	}
 }
 
@@ -163,9 +48,13 @@ func BenchmarkFigure16(b *testing.B) {
 
 // prefetchBenchSpecs is a fixed spec list (a Fig. 13-like sweep over the
 // bench workloads) used to compare serial and parallel prefetching.
-func prefetchBenchSpecs(r *experiments.Runner) []experiments.RunSpec {
+func prefetchBenchSpecs(b *testing.B, r *experiments.Runner) []experiments.RunSpec {
+	ws, err := r.Workloads()
+	if err != nil {
+		b.Fatal(err)
+	}
 	var specs []experiments.RunSpec
-	for _, w := range r.Workloads() {
+	for _, w := range ws {
 		for _, tracker := range []impress.TrackerKind{impress.TrackerGraphene, impress.TrackerPARA} {
 			for _, kind := range []impress.DesignKind{impress.NoRP, impress.ExPress, impress.ImpressP} {
 				specs = append(specs, experiments.RunSpec{
@@ -182,7 +71,9 @@ func benchmarkPrefetch(b *testing.B, parallelism int) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(benchScale())
 		r.Parallelism = parallelism
-		r.Prefetch(prefetchBenchSpecs(r))
+		if err := r.Prefetch(context.Background(), prefetchBenchSpecs(b, r)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -205,35 +96,20 @@ func benchmarkRunClock(b *testing.B, clock impress.SimClockMode) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	lab, err := impress.NewLab()
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
 		cfg := impress.DefaultSimConfig(w, impress.NewDesign(impress.NoRP), impress.TrackerNone)
 		cfg.WarmupInstructions = 10_000
 		cfg.RunInstructions = 50_000
 		cfg.Clock = clock
-		//lint:ignore SA1019 the benchmark pins the deprecated wrapper's cost
-		impress.RunSim(cfg)
+		if _, err := lab.Run(context.Background(), cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkRunEventDriven(b *testing.B)   { benchmarkRunClock(b, impress.SimClockEventDriven) }
 func BenchmarkRunCycleAccurate(b *testing.B) { benchmarkRunClock(b, impress.SimClockCycleAccurate) }
-
-// --- Extension experiments ---
-
-func BenchmarkPRACTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.PRACTable())
-	}
-}
-
-func BenchmarkRelatedWorkDSAC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.RelatedWorkDSAC())
-	}
-}
-
-func BenchmarkAblationRFMPacing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		render(b, experiments.AblationRFMPacing())
-	}
-}

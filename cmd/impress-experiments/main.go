@@ -232,13 +232,19 @@ func runShard(ctx context.Context, runner *experiments.Runner, store *resultstor
 		fmt.Fprintln(stderr, "-shard needs a shared result store: set -cache-dir or $IMPRESS_CACHE")
 		return 2
 	}
-	specs := experiments.SimSpecs(runner)
-	mine := runner.Shard(specs, index, count)
+	specs, err := experiments.SpecsFor(runner, experiments.RunOptions{})
+	if err == nil {
+		specs, err = runner.ShardSpecs(specs, index, count)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 	start := time.Now()
-	if err := runner.PrefetchContext(ctx, mine); err != nil {
+	if err := runner.Prefetch(ctx, specs); err != nil {
 		if simcli.ReportInterrupted(stderr, err, store.Dir()) {
 			fmt.Fprintf(stderr, "shard %d/%d: %d of %d owned specs were simulated before the interrupt\n",
-				index, count, runner.Sims(), len(mine))
+				index, count, runner.Sims(), len(specs))
 			return 1
 		}
 		fmt.Fprintln(stderr, err)
@@ -246,7 +252,7 @@ func runShard(ctx context.Context, runner *experiments.Runner, store *resultstor
 	}
 	c := store.Counters()
 	fmt.Fprintf(stdout, "shard %d/%d: %d specs owned, simulated=%d hits=%d writes=%d in %v\n",
-		index, count, len(mine), runner.Sims(), c.Hits, c.Writes,
+		index, count, len(specs), runner.Sims(), c.Hits, c.Writes,
 		time.Since(start).Round(time.Millisecond))
 	if c.WriteErrors > 0 {
 		fmt.Fprintf(stderr, "shard %d/%d: %d results could not be written to %s — the merge run would re-simulate them\n",

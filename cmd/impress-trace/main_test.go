@@ -176,7 +176,10 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 		if clock == "cycle" {
 			cfg.Clock = sim.ClockCycleAccurate
 		}
-		live := sim.Run(cfg)
+		live, err := sim.RunContext(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		ipcLine := fmt.Sprintf("IPC (sum/core):  %.3f", live.WeightedIPCSum)
 		for _, ipc := range live.IPC {
@@ -218,7 +221,10 @@ func TestReplayUsesRecordedSeed(t *testing.T) {
 	cfg.WarmupInstructions = 2000
 	cfg.RunInstructions = 10_000
 	cfg.Seed = 9
-	live := sim.Run(cfg)
+	live, err := sim.RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := fmt.Sprintf("cycles:          %d", live.Cycles)
 	if !strings.Contains(stdout, want) {
 		t.Errorf("replay did not use the recorded seed; missing %q:\n%s", want, stdout)

@@ -18,31 +18,31 @@
 // within one spec boundary; with a store attached, completed work
 // persists, so a cancelled sweep rerun resumes warm. Invalid input
 // returns errors matching ErrBadSpec / ErrUnknownWorkload instead of
-// panicking; see DESIGN.md §9 for the full run-lifecycle contract. The
-// pre-Lab free functions (RunSim, RunAttack, Experiments, ...) remain as
-// thin deprecated wrappers over a default Lab.
+// panicking; see DESIGN.md §9 for the full run-lifecycle contract.
 //
-// The package re-exports the library's main entry points so downstream
-// users need not reach into internal packages:
+// Around the Lab, the package re-exports the library's building blocks
+// so downstream users need not reach into internal packages:
 //
 //   - the Unified Charge-Loss Model (Model, NewModel, EACT arithmetic);
 //   - the Row-Press defense designs (Design: NoRP, ExPress, ImpressN,
 //     ImpressP) and their per-bank event policies;
-//   - the four Rowhammer trackers (Graphene, PARA, Mithril, MINT);
-//   - the single-bank security harness (AttackConfig, RunAttack) and the
-//     adversarial patterns;
-//   - the full-system performance simulator (SimConfig, RunSim) with the
-//     paper's 20 synthetic workloads, arbitrary per-core co-run mixes
-//     including attack-pattern aggressor cores (MixWorkloads,
-//     WorkloadByName specs), and trace record/replay (RecordTrace,
-//     WorkloadTrace) with a bit-identical replay guarantee;
-//   - the experiment harness that regenerates every table and figure
-//     (Experiments, QuickScale, FullScale), backed by a concurrent
-//     memoizing run scheduler (ExperimentRunner, ExperimentsParallel);
+//   - the Rowhammer tracker zoo (Graphene, PARA, Mithril, MINT, PRAC,
+//     Hydra, ABACuS);
+//   - the single-bank security harness's configuration (AttackConfig,
+//     run by Lab.Attack) and the adversarial patterns;
+//   - the full-system performance simulator's configuration (SimConfig,
+//     run by Lab.Run) with the paper's 20 synthetic workloads,
+//     arbitrary per-core co-run mixes including attack-pattern aggressor
+//     cores (MixWorkloads, WorkloadByName specs), and trace
+//     record/replay (Lab.Record, Lab.Replay, WorkloadTrace) with a
+//     bit-identical replay guarantee;
+//   - the experiment scales (QuickScale, StandardScale, FullScale) for
+//     Lab.Experiments, and the concurrent memoizing run scheduler behind
+//     it (ExperimentRunner) for custom sweeps;
 //   - a persistent, content-addressed result store (ResultStore,
 //     OpenResultStore) that caches simulation results on disk keyed by
 //     the fully-resolved run configuration, so repeated sweeps — and
-//     sweeps sharded across machines via ExperimentRunner.Shard — pay
+//     sweeps sharded across machines (impress-experiments -shard) — pay
 //     for each distinct simulation exactly once.
 //
 // Quick start:
@@ -57,7 +57,8 @@
 //	    AlphaTrue: 1,
 //	    Tracker:   func(trh float64) impress.Tracker { return impress.NewGraphene(trh) },
 //	}
-//	res := impress.RunAttack(cfg, &impress.RowPressPattern{Row: 1, TON: impress.DDR5().TREFI, Timings: impress.DDR5()})
+//	lab, _ := impress.NewLab()
+//	res, err := lab.Attack(ctx, cfg, &impress.RowPressPattern{Row: 1, TON: impress.DDR5().TREFI, Timings: impress.DDR5()})
 //	fmt.Println(res.MaxDamage) // bounded near TRH/3: contained
 //
 // See the runnable programs under examples/ for complete scenarios and
@@ -65,7 +66,6 @@
 package impress
 
 import (
-	"context"
 	"io"
 
 	"impress/internal/attack"
@@ -213,19 +213,6 @@ type AttackResult = security.Result
 // AttackTrackerFactory builds per-run trackers for the security harness.
 type AttackTrackerFactory = security.TrackerFactory
 
-// RunAttack replays a pattern against a (defense, tracker) pair.
-//
-// Deprecated: RunAttack panics on invalid input and cannot be
-// cancelled; it delegates to a default Lab and is kept so existing call
-// sites keep compiling and behaving identically. Use Lab.Attack.
-func RunAttack(cfg AttackConfig, p AttackPattern) AttackResult {
-	res, err := defaultLab.Attack(context.Background(), cfg, p)
-	if err != nil {
-		panic(err.Error())
-	}
-	return res
-}
-
 // AttackPattern generates an adversarial access sequence.
 type AttackPattern = attack.Pattern
 
@@ -346,20 +333,6 @@ func MixWorkloads(name string, sources []Workload) (Workload, error) {
 // and from disk.
 type WorkloadTrace = trace.Trace
 
-// RecordTrace drains perCore requests per core from the workload's
-// generators (seeded as a live simulation would seed them) into a
-// replayable trace.
-//
-// Deprecated: RecordTrace panics on invalid counts and cannot be
-// cancelled; it delegates to a default Lab. Use Lab.Record.
-func RecordTrace(w Workload, cores, perCore int, seed uint64) *WorkloadTrace {
-	t, err := defaultLab.Record(context.Background(), w, cores, perCore, seed)
-	if err != nil {
-		panic("trace: " + err.Error())
-	}
-	return t
-}
-
 // DecodeTrace reads a binary trace from a stream; it returns an error —
 // never panics — on corrupt input.
 func DecodeTrace(r io.Reader) (*WorkloadTrace, error) { return trace.Decode(r) }
@@ -386,19 +359,6 @@ func OpenTraceReader(path string) (*TraceReader, error) { return trace.OpenReade
 // DefaultSimConfig returns the Table II system for a workload/defense.
 func DefaultSimConfig(w Workload, d Design, tracker TrackerKind) SimConfig {
 	return sim.DefaultConfig(w, d, tracker)
-}
-
-// RunSim executes a performance simulation.
-//
-// Deprecated: RunSim panics on invalid input and cannot be cancelled;
-// it delegates to a default Lab and is kept so existing call sites keep
-// compiling and behaving identically. Use Lab.Run.
-func RunSim(cfg SimConfig) SimResult {
-	res, err := defaultLab.Run(context.Background(), cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return res
 }
 
 // ---- Persistent result store (DESIGN.md §8) ----
@@ -434,11 +394,12 @@ type ExperimentTable = experiments.Table
 // ExperimentScale controls simulation length.
 type ExperimentScale = experiments.Scale
 
-// ExperimentRunner executes and memoizes simulation runs. It is safe for
-// concurrent use; set Parallelism to bound the Prefetch worker pool
-// (0 = GOMAXPROCS). Parallel execution is byte-identical to serial. Set
-// Store to persist results across processes, and Shard to split a sweep
-// across machines merging through one store.
+// ExperimentRunner executes and memoizes simulation runs under the
+// caller's context. It is safe for concurrent use; set Parallelism to
+// bound the Prefetch worker pool (0 = GOMAXPROCS). Parallel execution is
+// byte-identical to serial. Set Store to persist results across
+// processes, and use ShardSpecs to split a sweep across machines merging
+// through one store.
 type ExperimentRunner = experiments.Runner
 
 // ExperimentRunSpec fully describes one simulation run for memoization
@@ -466,38 +427,6 @@ func StandardScale() ExperimentScale { return experiments.StandardScale() }
 
 // FullScale is the complete-reproduction scale.
 func FullScale() ExperimentScale { return experiments.FullScale() }
-
-// Experiments regenerates every table and figure at the given scale,
-// running independent simulations concurrently (GOMAXPROCS workers).
-//
-// Deprecated: Experiments panics on invalid scales and cannot be
-// cancelled or observed; it delegates to a default Lab. Use
-// Lab.Experiments.
-func Experiments(scale ExperimentScale) []*ExperimentTable {
-	tables, err := defaultLab.Experiments(context.Background(), scale)
-	if err != nil {
-		panic(err.Error())
-	}
-	return tables
-}
-
-// ExperimentsParallel regenerates every table and figure at the given
-// scale with an explicit simulation worker count (1 = fully serial,
-// 0 = GOMAXPROCS, negative clamps to serial). Output is byte-identical
-// at every parallelism level.
-//
-// Deprecated: use Lab.Experiments with WithParallelism.
-func ExperimentsParallel(scale ExperimentScale, parallelism int) []*ExperimentTable {
-	l := &Lab{parallelism: parallelism}
-	tables, err := l.Experiments(context.Background(), scale)
-	if err != nil {
-		panic(err.Error())
-	}
-	return tables
-}
-
-// AnalyticalExperiments regenerates the simulation-free subset.
-func AnalyticalExperiments() []*ExperimentTable { return experiments.Analytical() }
 
 // ---- Sweep service (DESIGN.md §11) ----
 

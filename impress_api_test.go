@@ -2,12 +2,33 @@ package impress_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"testing"
 
 	"impress"
 )
+
+// newLab builds a default Lab or fails the test.
+func newLab(t *testing.T) *impress.Lab {
+	t.Helper()
+	lab, err := impress.NewLab()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lab
+}
+
+// mustRun runs one simulation through a default Lab or fails the test.
+func mustRun(t *testing.T, cfg impress.SimConfig) impress.SimResult {
+	t.Helper()
+	res, err := newLab(t).Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // These tests exercise the public facade end to end: a downstream user of
 // the library should be able to reproduce the paper's headline claims
@@ -38,10 +59,12 @@ func TestPublicAttackAPIHeadline(t *testing.T) {
 			AlphaTrue: impress.AlphaLongDuration,
 			Tracker:   func(t float64) impress.Tracker { return impress.NewGraphene(t) },
 		}
-		//lint:ignore SA1019 the test pins the deprecated wrapper's behavior
-		res := impress.RunAttack(cfg, &impress.RowPressPattern{
+		res, err := newLab(t).Attack(context.Background(), cfg, &impress.RowPressPattern{
 			Row: 1 << 20, TON: tm.TREFI, Timings: tm,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return res.MaxDamage
 	}
 	broken := run(impress.NoRP)
@@ -84,8 +107,7 @@ func TestPublicSimAPI(t *testing.T) {
 	cfg := impress.DefaultSimConfig(w, impress.NewDesign(impress.ImpressP), impress.TrackerGraphene)
 	cfg.WarmupInstructions = 5_000
 	cfg.RunInstructions = 20_000
-	//lint:ignore SA1019 the test pins the deprecated wrapper's behavior
-	res := impress.RunSim(cfg)
+	res := mustRun(t, cfg)
 	if len(res.IPC) != 8 || res.WeightedIPCSum <= 0 {
 		t.Fatalf("bad sim result: %+v", res)
 	}
@@ -96,8 +118,10 @@ func TestPublicTraceRecordReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	//lint:ignore SA1019 the test pins the deprecated wrapper's behavior
-	rec := impress.RecordTrace(w, 2, 2_000, 1)
+	rec, err := newLab(t).Record(context.Background(), w, 2, 2_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := rec.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -116,8 +140,7 @@ func TestPublicTraceRecordReplay(t *testing.T) {
 	cfg.RunInstructions = 5_000
 	live := cfg
 	live.Workload = w
-	//lint:ignore SA1019 the test pins the deprecated wrapper's behavior
-	if a, b := impress.RunSim(cfg), impress.RunSim(live); !reflect.DeepEqual(a, b) {
+	if a, b := mustRun(t, cfg), mustRun(t, live); !reflect.DeepEqual(a, b) {
 		t.Fatalf("replayed run differs from live run:\nreplay %+v\nlive   %+v", a, b)
 	}
 }
@@ -140,7 +163,10 @@ func TestPublicTrackers(t *testing.T) {
 }
 
 func TestPublicExperiments(t *testing.T) {
-	tabs := impress.AnalyticalExperiments()
+	tabs, err := newLab(t).Experiments(context.Background(), impress.QuickScale(), impress.ExperimentsAnalytical())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tabs) < 10 {
 		t.Fatalf("analytical experiments = %d", len(tabs))
 	}
@@ -194,8 +220,14 @@ func TestPublicExperimentRunner(t *testing.T) {
 		Tracker:   impress.TrackerGraphene,
 		DesignTRH: impress.ExperimentTRH(4000), RFMTH: impress.ExperimentRFM(80),
 	}
-	r.Prefetch([]impress.ExperimentRunSpec{spec})
-	res := r.Run(spec)
+	ctx := context.Background()
+	if err := r.Prefetch(ctx, []impress.ExperimentRunSpec{spec}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.IPC) != 8 || res.WeightedIPCSum <= 0 {
 		t.Fatalf("bad runner result: %+v", res)
 	}
@@ -235,8 +267,7 @@ func TestPublicResultStore(t *testing.T) {
 	if _, ok := store.Get(sp); ok {
 		t.Fatal("empty store must miss")
 	}
-	//lint:ignore SA1019 the test pins the deprecated wrapper's behavior
-	res := impress.RunSim(cfg)
+	res := mustRun(t, cfg)
 	if err := store.Put(sp, res); err != nil {
 		t.Fatal(err)
 	}
@@ -249,9 +280,12 @@ func TestPublicResultStore(t *testing.T) {
 	if r.Store, err = impress.OpenResultStore(store.Dir()); err != nil {
 		t.Fatal(err)
 	}
-	got := r.Run(impress.ExperimentRunSpec{
+	got, err := r.Run(context.Background(), impress.ExperimentRunSpec{
 		Workload: w, Design: impress.NewDesign(impress.ImpressP), Tracker: impress.TrackerGraphene,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Sims() != 0 {
 		t.Fatalf("runner simulated %d times; the store should have served the result", r.Sims())
 	}

@@ -26,10 +26,6 @@ type Config struct {
 	// TaxonomyPkg is the import path of the sentinel package errors
 	// must wrap (named in diagnostics).
 	TaxonomyPkg string
-	// AllowPanic freezes the exported boundary functions that may
-	// panic: the deprecated pre-Lab wrappers, kept compatible until
-	// their removal. The list only ever shrinks.
-	AllowPanic []string
 }
 
 // New returns the errtaxonomy analyzer.
@@ -38,16 +34,12 @@ func New(cfg Config) *analysis.Analyzer {
 	for _, p := range cfg.Boundary {
 		boundary[p] = true
 	}
-	allowPanic := make(map[string]bool, len(cfg.AllowPanic))
-	for _, f := range cfg.AllowPanic {
-		allowPanic[f] = true
-	}
 	return &analysis.Analyzer{
 		Name: "errtaxonomy",
 		Doc: "requires public-boundary errors to wrap the error taxonomy (no fresh anonymous errors, no panics) " +
 			"and %w wrapping wherever fmt.Errorf receives an error",
 		Run: func(pass *analysis.Pass) error {
-			c := &checker{pass: pass, cfg: cfg, allowPanic: allowPanic, inBoundary: boundary[pass.Pkg.PkgPath]}
+			c := &checker{pass: pass, cfg: cfg, inBoundary: boundary[pass.Pkg.PkgPath]}
 			for _, file := range pass.Pkg.Syntax {
 				c.file(file)
 			}
@@ -59,7 +51,6 @@ func New(cfg Config) *analysis.Analyzer {
 type checker struct {
 	pass       *analysis.Pass
 	cfg        Config
-	allowPanic map[string]bool
 	inBoundary bool
 }
 
@@ -69,7 +60,7 @@ func (c *checker) file(file *ast.File) {
 		if !ok || fn.Body == nil {
 			continue
 		}
-		atBoundary := c.inBoundary && fn.Name.IsExported() && !c.allowPanic[fn.Name.Name]
+		atBoundary := c.inBoundary && fn.Name.IsExported()
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -37,14 +37,6 @@ func MustParse(spec string) string {
 	return spec
 }
 
-// Legacy also panics but sits on the frozen AllowPanic list.
-func Legacy(spec string) string {
-	if spec == "" {
-		panic("empty spec")
-	}
-	return spec
-}
-
 // flatten demonstrates the module-wide %w rule: it is unexported, yet
 // formatting an error with %v still severs the chain for errors.Is.
 func flatten(err error) error {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -197,26 +198,35 @@ func StorageTable() *Table {
 
 // Figure18 regenerates the Graphene attack-slowdown analysis (analytic
 // Equation 9 plus harness measurements).
-func Figure18() *Table {
+func Figure18(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID: "fig18", Title: "Slowdown of ImPress-P with Graphene under combined RH+RP attack (paper Fig. 18)",
 		Header: []string{"K (tRC of RP)", "TRH=1000", "TRH=2000", "TRH=4000", "measured TRH=4000"},
 	}
 	tm := dram.DDR5()
+	cfg := security.Config{
+		Design:    core.NewDesign(core.ImpressP),
+		DesignTRH: 4000,
+		AlphaTrue: 1,
+		Tracker:   func(trh float64) trackers.Tracker { return trackers.NewGraphene(trh) },
+	}
 	for _, k := range []int{0, 10, 20, 40, 60, 80, 100} {
-		measured := measureAttackSlowdown(trackers.NewGraphene, 4000, int64(k), tm)
+		measured, err := security.RunContext(ctx, cfg, &attack.CombinedK{Row: 1 << 20, K: int64(k), Timings: tm})
+		if err != nil {
+			return nil, err
+		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", k),
 			pct(security.GrapheneAttackSlowdown(1000, k)),
 			pct(security.GrapheneAttackSlowdown(2000, k)),
 			pct(security.GrapheneAttackSlowdown(4000, k)),
-			pct(measured),
+			pct(measured.Slowdown()),
 		})
 	}
 	t.Notes = append(t.Notes,
 		"Equation 9: slowdown = 8/TRH independent of K; the measured column uses the single-bank harness",
 		"(measured level sits between 8/TRH and 12/TRH because the provisioned tracker mitigates at TRH/3)")
-	return t
+	return t, nil
 }
 
 // Figure19 regenerates the PARA attack-slowdown analysis (Equation 10).
@@ -241,7 +251,7 @@ func Figure19() *Table {
 
 // ImpressNWorstCase validates Equation 5 empirically: the decoy pattern's
 // peak damage relative to pure Rowhammer equals 1 + alpha.
-func ImpressNWorstCase() *Table {
+func ImpressNWorstCase(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID: "eq5", Title: "ImPress-N unmitigated Row-Press (paper Fig. 10 / Equation 5)",
 		Header: []string{"device alpha", "RH peak damage", "decoy peak damage", "ratio", "1+alpha"},
@@ -254,8 +264,14 @@ func ImpressNWorstCase() *Table {
 			AlphaTrue: alpha,
 			Tracker:   func(trh float64) trackers.Tracker { return trackers.NewGraphene(trh) },
 		}
-		rh := security.Run(cfg, &attack.Rowhammer{Row: 1 << 20, Timings: tm})
-		decoy := security.Run(cfg, &attack.Decoy{Row: 1 << 20, DecoyRow: 1 << 24, Spread: 8192, Timings: tm})
+		rh, err := security.RunContext(ctx, cfg, &attack.Rowhammer{Row: 1 << 20, Timings: tm})
+		if err != nil {
+			return nil, err
+		}
+		decoy, err := security.RunContext(ctx, cfg, &attack.Decoy{Row: 1 << 20, DecoyRow: 1 << 24, Spread: 8192, Timings: tm})
+		if err != nil {
+			return nil, err
+		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.2f", alpha),
 			f1(rh.MaxDamage), f1(decoy.MaxDamage),
@@ -263,20 +279,7 @@ func ImpressNWorstCase() *Table {
 		})
 	}
 	t.Notes = append(t.Notes, "Equation 5: T* = TRH/(1+alpha); the measured ratio matches 1+alpha")
-	return t
-}
-
-// measureAttackSlowdown runs the single-bank harness with ImPress-P and
-// the given tracker under the CombinedK pattern.
-func measureAttackSlowdown(newTracker func(trh float64) *trackers.Graphene, trh float64, k int64, tm dram.Timings) float64 {
-	cfg := security.Config{
-		Design:    core.NewDesign(core.ImpressP),
-		DesignTRH: trh,
-		AlphaTrue: 1,
-		Tracker:   func(t float64) trackers.Tracker { return newTracker(t) },
-	}
-	res := security.Run(cfg, &attack.CombinedK{Row: 1 << 20, K: k, Timings: tm})
-	return res.Slowdown()
+	return t, nil
 }
 
 func pct(v float64) string { return fmt.Sprintf("%.2f%%", 100*v) }
@@ -290,7 +293,7 @@ func powf(x, y float64) float64 {
 
 // SecuritySummary runs the headline security matrix: which (tracker,
 // defense) pairs contain which attacks within TRH.
-func SecuritySummary() *Table {
+func SecuritySummary(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID: "security", Title: "Peak victim damage (TRH units, TRH=4000; >=4000 means a bit flip)",
 		Header: []string{"Tracker", "Defense", "Rowhammer", "RowPress(tREFI)", "RowPress(tONMax)", "Decoy"},
@@ -338,13 +341,16 @@ func SecuritySummary() *Table {
 				RFMTH: f.rfmth, Tracker: f.factory,
 			}
 			row := []string{f.name, d.Kind.String()}
-			for _, p := range []attackSpec{
-				{&attack.Rowhammer{Row: 1 << 20, Timings: tm}},
-				{&attack.RowPress{Row: 1 << 20, TON: tm.TREFI, Timings: tm}},
-				{&attack.RowPress{Row: 1 << 20, TON: tm.TONMax, Timings: tm}},
-				{&attack.Decoy{Row: 1 << 20, DecoyRow: 1 << 24, Spread: 8192, Timings: tm}},
+			for _, p := range []attack.Pattern{
+				&attack.Rowhammer{Row: 1 << 20, Timings: tm},
+				&attack.RowPress{Row: 1 << 20, TON: tm.TREFI, Timings: tm},
+				&attack.RowPress{Row: 1 << 20, TON: tm.TONMax, Timings: tm},
+				&attack.Decoy{Row: 1 << 20, DecoyRow: 1 << 24, Spread: 8192, Timings: tm},
 			} {
-				res := security.Run(cfg, p.p)
+				res, err := security.RunContext(ctx, cfg, p)
+				if err != nil {
+					return nil, err
+				}
 				cell := f1(res.MaxDamage)
 				if res.MaxDamage >= f.trh {
 					cell += " FLIP"
@@ -356,7 +362,5 @@ func SecuritySummary() *Table {
 	}
 	t.Notes = append(t.Notes,
 		"No-RP contains Rowhammer but is broken by Row-Press; ImPress-P contains every pattern at full TRH")
-	return t
+	return t, nil
 }
-
-type attackSpec struct{ p attack.Pattern }

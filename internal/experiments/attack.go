@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"impress/internal/attack"
 	"impress/internal/clm"
 	"impress/internal/core"
-	"impress/internal/errs"
 	"impress/internal/resultstore"
 	"impress/internal/security"
 	"impress/internal/trackers"
@@ -82,185 +79,80 @@ func ZooEntrySpec(e attack.ZooEntry) (resultstore.AttackSpec, error) {
 	}, nil
 }
 
-// attackEntry is one memoized (possibly in-flight) harness evaluation.
-type attackEntry struct {
-	done     chan struct{}
-	res      security.Result
-	panicked any
-}
-
 // AttackSims reports how many harness evaluations this runner actually
 // executed — memo and store hits excluded. A warm-store rerun of a
 // synthesis search keeps it at zero.
 func (r *Runner) AttackSims() int64 { return r.atkSims.Load() }
 
-// Attack executes (or recalls) one security-harness evaluation, with
-// Run's exact memoization contract: concurrent calls with the same spec
-// deduplicate, a Store resolves repeats across processes, and failures
-// or cancellation panic as a typed runAbort that the context-aware
-// entry points recover into errors. Cancelled specs are dropped from
-// the memo so a retry under a live context re-evaluates.
-func (r *Runner) Attack(spec resultstore.AttackSpec) security.Result {
-	r.checkCtx()
-	k := string(spec.Key())
-	r.atkMu.Lock()
-	if r.atkCache == nil {
-		r.atkCache = make(map[string]*attackEntry)
-	}
-	if e, ok := r.atkCache[k]; ok {
-		r.atkMu.Unlock()
-		<-e.done
-		if e.panicked != nil {
-			panic(e.panicked)
-		}
-		return e.res
-	}
-	e := &attackEntry{done: make(chan struct{})}
-	r.atkCache[k] = e
-	r.atkMu.Unlock()
-
-	defer func() {
-		if p := recover(); p != nil {
-			if a, ok := p.(*runAbort); ok && errors.Is(a.err, errs.ErrCancelled) {
-				r.atkMu.Lock()
-				delete(r.atkCache, k)
-				r.atkMu.Unlock()
-			}
-			e.panicked = p
-			close(e.done)
-			panic(p)
-		}
-		close(e.done)
-	}()
-	label := fmt.Sprintf("%s vs %s", spec.Pattern, spec.Tracker)
-	r.emit(Progress{Kind: ProgressAttackStarted, Spec: label, Key: k})
-	if r.Store != nil {
-		if res, ok := r.Store.GetAttack(spec); ok {
-			e.res = res
-			r.emit(Progress{Kind: ProgressAttackCacheHit, Spec: label, Key: k})
-			return e.res
-		}
-	}
-	cfg, pattern, err := spec.SecurityConfig()
+// EvaluateAttacks evaluates every spec — in parallel over the runner's
+// worker pool, deduplicated, memoized and store-backed with the exact
+// contract of Run — and returns results in spec order. Cancellation and
+// harness errors surface as typed errors; completed evaluations stay
+// memoized and store-written, so a retried batch resumes warm. It is
+// the evaluation seam the synthesis engine and the labd attack endpoint
+// plug into.
+func (r *Runner) EvaluateAttacks(ctx context.Context, specs []resultstore.AttackSpec) ([]security.Result, error) {
+	err := forEach(ctx, r.parallelism(), unique(specs, attackKey), func(s resultstore.AttackSpec) error {
+		_, err := r.attack(ctx, s)
+		return err
+	})
 	if err != nil {
-		panic(&runAbort{err})
+		return nil, err
 	}
-	res, err := security.RunContext(r.runCtx(), cfg, pattern)
-	if err != nil {
-		if errors.Is(err, errs.ErrCancelled) {
-			panic(&runAbort{fmt.Errorf("experiments: sweep stopped: %w", err)})
-		}
-		panic(&runAbort{fmt.Errorf("experiments: %s: %w", label, err)})
-	}
-	e.res = res
-	r.atkSims.Add(1)
-	r.emit(Progress{Kind: ProgressAttackFinished, Spec: label, Key: k})
-	if r.Store != nil {
-		_ = r.Store.PutAttack(spec, e.res)
-	}
-	return e.res
-}
-
-// PrefetchAttacks evaluates the given specs over the runner's worker
-// pool (Prefetch's contract: deduplicated, drains on cancellation,
-// re-panics the first failure after draining).
-func (r *Runner) PrefetchAttacks(specs []resultstore.AttackSpec) {
-	seen := make(map[string]bool, len(specs))
-	var todo []resultstore.AttackSpec
-	for _, s := range specs {
-		if k := string(s.Key()); !seen[k] {
-			seen[k] = true
-			todo = append(todo, s)
-		}
-	}
-	workers := r.parallelism()
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	if workers <= 1 {
-		for _, s := range todo {
-			r.Attack(s)
-		}
-		return
-	}
-	queue := make(chan resultstore.AttackSpec, len(todo))
-	for _, s := range todo {
-		queue <- s
-	}
-	close(queue)
-	var (
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked any
-	)
-	record := func(p any) {
-		panicMu.Lock()
-		defer panicMu.Unlock()
-		if panicked == nil || isCancelAbort(panicked) && !isCancelAbort(p) {
-			panicked = p
-		}
-	}
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					record(p)
-				}
-			}()
-			for s := range queue {
-				if r.cancelled() {
-					break
-				}
-				r.Attack(s)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-	r.checkCtx()
-}
-
-// EvaluateAttacks is the context-aware batch entry point: it evaluates
-// every spec (parallel, deduplicated, cache-backed) and returns results
-// in spec order. Cancellation and harness errors surface as typed
-// errors; completed evaluations stay memoized and store-written, so a
-// retried batch resumes warm. It is the evaluation seam the synthesis
-// engine and the labd attack endpoint plug into.
-func (r *Runner) EvaluateAttacks(ctx context.Context, specs []resultstore.AttackSpec) (results []security.Result, err error) {
-	defer r.bind(ctx)()
-	defer func() {
-		if p := recover(); p != nil {
-			if a, ok := p.(*runAbort); ok {
-				results, err = nil, a.err
-				return
-			}
-			panic(p)
-		}
-	}()
-	r.PrefetchAttacks(specs)
-	results = make([]security.Result, len(specs))
+	results := make([]security.Result, len(specs))
 	for i, s := range specs {
-		results[i] = r.Attack(s)
+		results[i] = r.attacks.get(attackKey(s))
 	}
 	return results, nil
+}
+
+// attackKey is an attack spec's memo and store key.
+func attackKey(spec resultstore.AttackSpec) string { return string(spec.Key()) }
+
+// attack executes (or recalls) one security-harness evaluation through
+// the attack memo: a stored result is served without evaluating,
+// otherwise the harness runs under ctx and the result is written back.
+// Each distinct spec emits ProgressAttackStarted followed by
+// ProgressAttackCacheHit or ProgressAttackFinished.
+func (r *Runner) attack(ctx context.Context, spec resultstore.AttackSpec) (security.Result, error) {
+	k := attackKey(spec)
+	return r.attacks.do(ctx, k, func() (security.Result, error) {
+		label := spec.Pattern + " vs " + spec.Tracker
+		r.emit(Progress{Kind: ProgressAttackStarted, Spec: label, Key: k})
+		if r.Store != nil {
+			if res, ok := r.Store.GetAttack(spec); ok {
+				r.emit(Progress{Kind: ProgressAttackCacheHit, Spec: label, Key: k})
+				return res, nil
+			}
+		}
+		cfg, pattern, err := spec.SecurityConfig()
+		if err != nil {
+			return security.Result{}, err
+		}
+		res, err := security.RunContext(ctx, cfg, pattern)
+		if err != nil {
+			return security.Result{}, fmt.Errorf("experiments: %s: %w", label, err)
+		}
+		r.emit(Progress{Kind: ProgressAttackFinished, Spec: label, Key: k})
+		if r.Store != nil {
+			_ = r.Store.PutAttack(spec, res)
+		}
+		return res, nil
+	})
 }
 
 // AttackZooTable compares the paper's hand-written attack patterns
 // against the archived synthesized champions, per registered tracker —
 // the adversarial-synthesis headline: how much worse than the paper's
 // worst pattern a searched trace gets, for every tracker in the zoo.
-func AttackZooTable(r *Runner) *Table {
+func AttackZooTable(ctx context.Context, r *Runner) (*Table, error) {
 	t := &Table{
 		ID: "attackzoo", Title: "Paper vs synthesized attack margins (peak damage, TRH units)",
 		Header: []string{"Tracker", "Best paper pattern", "Paper damage", "Best synthesized", "Synth damage", "Synth/paper"},
 	}
 	entries, err := attack.ZooEntries(attack.DefaultZooDir())
 	if err != nil {
-		panic(&runAbort{err})
+		return nil, err
 	}
 	names := trackers.Names()
 	var specs []resultstore.AttackSpec
@@ -272,12 +164,14 @@ func AttackZooTable(r *Runner) *Table {
 			specs = append(specs, ZooAttackSpec(tr, attack.SynthSpecPrefix+e.Genome))
 		}
 	}
-	r.PrefetchAttacks(specs)
+	if _, err := r.EvaluateAttacks(ctx, specs); err != nil {
+		return nil, err
+	}
 	for _, tr := range names {
 		var paperBest security.Result
 		var paperName string
 		for _, p := range attack.PaperPatternNames() {
-			if res := r.Attack(ZooAttackSpec(tr, p)); paperName == "" || res.MaxDamage > paperBest.MaxDamage {
+			if res := r.attacks.get(attackKey(ZooAttackSpec(tr, p))); paperName == "" || res.MaxDamage > paperBest.MaxDamage {
 				paperBest, paperName = res, p
 			}
 		}
@@ -285,7 +179,7 @@ func AttackZooTable(r *Runner) *Table {
 		var synthBest security.Result
 		var bestEntry string
 		for _, e := range entries {
-			if res := r.Attack(ZooAttackSpec(tr, attack.SynthSpecPrefix+e.Genome)); bestEntry == "" || res.MaxDamage > synthBest.MaxDamage {
+			if res := r.attacks.get(attackKey(ZooAttackSpec(tr, attack.SynthSpecPrefix+e.Genome))); bestEntry == "" || res.MaxDamage > synthBest.MaxDamage {
 				synthBest, bestEntry = res, e.Name
 			}
 		}
@@ -309,5 +203,5 @@ func AttackZooTable(r *Runner) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"a ratio > 1 means search found a strictly worse-case trace than every paper pattern for that tracker")
-	return t
+	return t, nil
 }

@@ -7,9 +7,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"impress/internal/errs"
 	"impress/internal/resultstore"
+	"impress/internal/sim"
+	"impress/internal/trace"
 )
 
 // fig3Only runs RunTables restricted to fig3 — 42 distinct QuickScale
@@ -121,8 +124,8 @@ func TestCancellationMidSweep(t *testing.T) {
 }
 
 // TestCancellationDrainsParallelPrefetch: with a parallel pool, a
-// cancelled PrefetchContext returns the typed error after the pool
-// drains, and in-flight simulations persist to the store.
+// cancelled Prefetch returns the typed error after the pool drains, and
+// in-flight simulations persist to the store.
 func TestCancellationDrainsParallelPrefetch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("QuickScale sweep skipped in -short mode")
@@ -149,7 +152,7 @@ func TestCancellationDrainsParallelPrefetch(t *testing.T) {
 			}
 		}
 	}
-	err = r.PrefetchContext(ctx, figure3Specs(r))
+	err = r.Prefetch(ctx, figure3Specs(workloads(t, r)))
 	if !errors.Is(err, errs.ErrCancelled) {
 		t.Fatalf("cancelled prefetch returned %v", err)
 	}
@@ -176,22 +179,46 @@ func TestCancellationDrainsParallelPrefetch(t *testing.T) {
 	}
 }
 
-// TestUnknownScaleWorkloadSurfacesTypedError is the ISSUE satellite:
-// a typo in a scale's workload list surfaces as ErrUnknownWorkload
-// through the context-aware API instead of panicking mid-sweep.
+// TestUnknownScaleWorkloadSurfacesTypedError: a typo in a scale's
+// workload list surfaces as ErrUnknownWorkload from every sweep boundary
+// — RunTables (batch and incremental), SpecsFor, Prefetch and
+// ShardSpecs — before any simulation starts, instead of panicking
+// mid-sweep.
 func TestUnknownScaleWorkloadSurfacesTypedError(t *testing.T) {
 	scale := QuickScale()
 	scale.Workloads = append(scale.Workloads, "no-such-workload")
 	r := NewRunner(scale)
-	_, err := AllContext(context.Background(), r)
-	if err == nil {
-		t.Fatal("unknown scale workload reported success")
+	r.Progress = func(p Progress) {
+		if p.Kind == ProgressSpecStarted {
+			t.Errorf("spec %s started under an unresolvable scale", p.Spec)
+		}
 	}
-	if !errors.Is(err, errs.ErrUnknownWorkload) {
-		t.Fatalf("got %v; want ErrUnknownWorkload", err)
+	good := baselineSpec(workloads(t, NewRunner(tinyScale()))[0])
+	ctx := context.Background()
+	check := func(boundary string, err error) {
+		t.Helper()
+		if !errors.Is(err, errs.ErrUnknownWorkload) {
+			t.Fatalf("%s: got %v; want ErrUnknownWorkload", boundary, err)
+		}
+		if !strings.Contains(err.Error(), "no-such-workload") {
+			t.Fatalf("%s: error %q does not name the bad workload", boundary, err)
+		}
 	}
-	if !strings.Contains(err.Error(), "no-such-workload") {
-		t.Fatalf("error %q does not name the bad workload", err)
+	_, err := RunTables(ctx, r, RunOptions{})
+	check("RunTables", err)
+	_, err = RunTables(ctx, r, RunOptions{Only: []string{"table1", "fig3"}})
+	check("RunTables -only", err)
+	_, err = SpecsFor(r, RunOptions{})
+	check("SpecsFor", err)
+	check("Prefetch", r.Prefetch(ctx, []RunSpec{good}))
+	_, err = r.ShardSpecs([]RunSpec{good}, 1, 2)
+	check("ShardSpecs", err)
+	if r.Sims() != 0 {
+		t.Fatalf("%d simulations ran under an unresolvable scale", r.Sims())
+	}
+	// An analytical selection never resolves the scale's workloads.
+	if _, err := RunTables(ctx, r, RunOptions{Only: []string{"table1"}}); err != nil {
+		t.Fatalf("analytical table under an unresolvable scale: %v", err)
 	}
 }
 
@@ -287,8 +314,8 @@ func TestProgressBalancesAtAnyParallelism(t *testing.T) {
 	}
 }
 
-// TestRunTablesMatchesAll pins that the context-aware boundary renders
-// exactly what the deprecated All renders.
+// TestRunTablesMatchesAll pins that the sweep boundary renders exactly
+// what the experiment's own builder renders on a fresh runner.
 func TestRunTablesMatchesAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("QuickScale sweep skipped in -short mode")
@@ -306,7 +333,7 @@ func TestRunTablesMatchesAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	rb := NewRunner(QuickScale())
-	if got, want := render(ctxTables), render([]*Table{Figure3(rb)}); got != want {
+	if got, want := render(ctxTables), render([]*Table{build(t, "fig3", rb)}); got != want {
 		t.Fatalf("RunTables rendering diverged from the direct builder:\n%s", diffHint(got, want))
 	}
 }
@@ -334,15 +361,136 @@ func TestCancelledRunnerIsRetryable(t *testing.T) {
 			}
 		}
 	}
-	specs := figure3Specs(r)
-	if err := r.PrefetchContext(ctx, specs); !errors.Is(err, errs.ErrCancelled) {
+	specs := figure3Specs(workloads(t, r))
+	if err := r.Prefetch(ctx, specs); !errors.Is(err, errs.ErrCancelled) {
 		t.Fatalf("cancelled prefetch returned %v", err)
 	}
 	r.Progress = nil
-	if err := r.PrefetchContext(context.Background(), specs); err != nil {
+	if err := r.Prefetch(context.Background(), specs); err != nil {
 		t.Fatalf("retry on the same runner failed: %v", err)
 	}
 	if _, err := fig3Only(context.Background(), r); err != nil {
 		t.Fatalf("rendering on the retried runner failed: %v", err)
+	}
+}
+
+// gatedWorkload is gcc behind a gate: building a core's generator — the
+// first thing a simulation does — announces the run on entered (once)
+// and then blocks until gate closes, so a test can hold a simulation in
+// flight while it arranges cancellations around it.
+func gatedWorkload(t *testing.T, name string, entered, gate chan struct{}) trace.Workload {
+	t.Helper()
+	gcc, err := trace.WorkloadByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	return trace.Workload{Name: name, NewGenerator: func(core int, seed uint64) trace.Generator {
+		once.Do(func() { close(entered) })
+		<-gate
+		return gcc.NewGenerator(core, seed)
+	}}
+}
+
+// await fails the test if ch does not close within a generous bound.
+func await(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// TestOverlappingSweepsCancelIndependently runs two sweeps on one runner
+// under separate contexts, both with a simulation in flight, and
+// cancels only the first: it must stop with ErrCancelled while the
+// second, whose context is live, completes.
+func TestOverlappingSweepsCancelIndependently(t *testing.T) {
+	r := NewRunner(Scale{Name: "gated", Warmup: 1_000, Run: 5_000})
+	gate := make(chan struct{})
+	enteredA, enteredB := make(chan struct{}), make(chan struct{})
+	specA := baselineSpec(gatedWorkload(t, "gated-a", enteredA, gate))
+	specB := baselineSpec(gatedWorkload(t, "gated-b", enteredB, gate))
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	errA, errB := make(chan error, 1), make(chan error, 1)
+	go func() { errA <- r.Prefetch(ctxA, []RunSpec{specA}) }()
+	await(t, enteredA, "sweep A's simulation")
+	go func() { errB <- r.Prefetch(context.Background(), []RunSpec{specB}) }()
+	await(t, enteredB, "sweep B's simulation")
+
+	cancelA()
+	close(gate)
+	if err := <-errA; !errors.Is(err, errs.ErrCancelled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sweep A returned %v; want ErrCancelled wrapping context.Canceled", err)
+	}
+	if err := <-errB; err != nil {
+		t.Fatalf("sweep B failed although only A's context was cancelled: %v", err)
+	}
+	if r.Sims() != 1 {
+		t.Fatalf("%d simulations completed, want B's one", r.Sims())
+	}
+}
+
+// waitCtx announces on waiting when something first selects on its Done
+// channel — for a Runner.Run caller that found its spec in flight, that
+// is the moment it starts waiting on the owner.
+type waitCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *waitCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestSingleflightWaiterRetriesOwnersCancellation: a caller waiting on
+// another caller's in-flight simulation of the same spec must not
+// inherit that owner's cancellation — with its own context live, it
+// retries and gets the result.
+func TestSingleflightWaiterRetriesOwnersCancellation(t *testing.T) {
+	r := NewRunner(Scale{Name: "gated", Warmup: 1_000, Run: 5_000})
+	gate, entered := make(chan struct{}), make(chan struct{})
+	spec := baselineSpec(gatedWorkload(t, "gated", entered, gate))
+
+	ownerCtx, cancelOwner := context.WithCancel(context.Background())
+	defer cancelOwner()
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, err := r.Run(ownerCtx, spec)
+		ownerErr <- err
+	}()
+	await(t, entered, "the owner's simulation")
+
+	waiter := &waitCtx{Context: context.Background(), waiting: make(chan struct{})}
+	type outcome struct {
+		res sim.Result
+		err error
+	}
+	waiterOut := make(chan outcome, 1)
+	go func() {
+		res, err := r.Run(waiter, spec)
+		waiterOut <- outcome{res, err}
+	}()
+	await(t, waiter.waiting, "the waiter to block on the in-flight spec")
+
+	cancelOwner()
+	close(gate)
+	if err := <-ownerErr; !errors.Is(err, errs.ErrCancelled) {
+		t.Fatalf("cancelled owner returned %v; want ErrCancelled", err)
+	}
+	got := <-waiterOut
+	if got.err != nil {
+		t.Fatalf("waiter inherited the owner's cancellation: %v", got.err)
+	}
+	if got.res.Cycles == 0 {
+		t.Fatalf("waiter got an empty result: %+v", got.res)
+	}
+	if r.Sims() != 1 {
+		t.Fatalf("%d simulations completed, want the waiter's retry only", r.Sims())
 	}
 }

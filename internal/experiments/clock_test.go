@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"reflect"
 	"testing"
@@ -22,13 +23,9 @@ func TestClockEquivalenceQuickScaleSpecs(t *testing.T) {
 		t.Skip("QuickScale clock-equivalence comparison skipped in -short mode")
 	}
 	r := NewRunner(QuickScale())
-	seen := map[string]bool{}
-	var specs []RunSpec
-	for _, s := range allSimSpecs(r) {
-		if k := string(r.storeSpec(s).Key()); !seen[k] {
-			seen[k] = true
-			specs = append(specs, s)
-		}
+	specs, err := SpecsFor(r, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	stride := 13
 	if os.Getenv("IMPRESS_CLOCK_EQUIV") == "all" {
@@ -38,9 +35,15 @@ func TestClockEquivalenceQuickScaleSpecs(t *testing.T) {
 		spec := specs[i]
 		cfg := spec.config(r.Scale)
 		cfg.Clock = sim.ClockEventDriven
-		ev := sim.Run(cfg)
+		ev, err := sim.RunContext(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cfg.Clock = sim.ClockCycleAccurate
-		ca := sim.Run(cfg)
+		ca, err := sim.RunContext(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(ev, ca) {
 			t.Fatalf("spec %s/%s/%s: event-driven result diverged from cycle-accurate:\nEV %+v\nCA %+v",
 				spec.Workload.Name, spec.Design.Name(), spec.Tracker, ev, ca)

@@ -1,13 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (see DESIGN.md §3 for the experiment index). Each experiment
-// is a function returning a Table of the same rows/series the paper
-// reports; the cmd/impress-experiments binary and the repository's
-// benchmark harness invoke them.
+// is a Definition in the Definitions registry whose Build returns a Table
+// of the same rows/series the paper reports; RunTables drives them for
+// the impress-experiments CLI, the Lab, the sweep daemon and the
+// repository's benchmark harness.
 package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -19,6 +19,7 @@ import (
 	"impress/internal/core"
 	"impress/internal/errs"
 	"impress/internal/resultstore"
+	"impress/internal/security"
 	"impress/internal/sim"
 	"impress/internal/stats"
 	"impress/internal/trace"
@@ -125,10 +126,11 @@ func ScaleByName(name string) (Scale, error) {
 // Runner is safe for concurrent use: Run deduplicates concurrent requests
 // for the same spec (singleflight), so a spec simulates exactly once no
 // matter how many goroutines ask for it, and Prefetch fans a spec list out
-// over a worker pool. Results are independent of execution order — every
-// simulation is seeded from its own Config (see sim.Run) — so a parallel
-// prefetch followed by serial table assembly is byte-identical to the
-// fully serial path.
+// over a worker pool. Every entry point takes its caller's context:
+// overlapping sweeps on one runner each stop on their own cancellation
+// only. Results are independent of execution order — every simulation is
+// seeded from its own Config — so a parallel prefetch followed by serial
+// table assembly is byte-identical to the fully serial path.
 type Runner struct {
 	Scale Scale
 	// Parallelism bounds how many simulations Prefetch runs concurrently.
@@ -162,117 +164,24 @@ type Runner struct {
 	// Progress, when non-nil, receives run-lifecycle events: one
 	// ProgressSpecStarted per distinct spec followed by ProgressSpecCacheHit
 	// or ProgressSpecFinished, and ProgressTableRendered per assembled
-	// table under the context-aware entry points. Callbacks are
-	// serialized; set it before the sweep starts and do not mutate it
-	// while one runs.
+	// table. Callbacks are serialized; set it before the sweep starts and
+	// do not mutate it while one runs.
 	Progress func(Progress)
 
-	// bindCtx is the cancellation signal bound by the context-aware
-	// entry points (RunTables, PrefetchContext, impress.Lab); nil means
-	// uncancellable. bindMu + bindCount make overlapping sweeps on one
-	// runner race-free: the first binder's signal is shared by all and
-	// held until the last overlapping sweep releases (documented on
-	// PrefetchContext).
-	bindMu    sync.Mutex
-	bindCtx   context.Context
-	bindCount int
-
-	mu    sync.Mutex
-	cache map[string]*runEntry
-	// sims counts actual sim.Run executions (memo and store hits
-	// excluded); a warm-store sweep asserts it stays zero.
-	sims atomic.Int64
-
-	// atkMu/atkCache/atkSims are the security-harness analogue of
-	// mu/cache/sims, backing Runner.Attack (see attack.go).
-	atkMu    sync.Mutex
-	atkCache map[string]*attackEntry
-	atkSims  atomic.Int64
+	runs    memo[sim.Result]
+	attacks memo[security.Result]
+	// sims and atkSims count ProgressSpecFinished and
+	// ProgressAttackFinished events: executions, memo and store hits
+	// excluded. A warm-store sweep keeps both at zero.
+	sims    atomic.Int64
+	atkSims atomic.Int64
 
 	progressMu sync.Mutex
 }
 
-// runAbort carries a typed error out of the figure-assembly call tree by
-// panic: Runner.Run keeps its historical panicking signature (every
-// table builder depends on it), so cancellation and input errors
-// travel as this sentinel and the context-aware boundaries (RunTables,
-// PrefetchContext) recover it back into an ordinary error. It
-// implements error so an uncaught escape still prints cleanly.
-type runAbort struct{ err error }
-
-func (a *runAbort) Error() string { return a.err.Error() }
-func (a *runAbort) Unwrap() error { return a.err }
-
-// bind installs ctx as the runner's cancellation signal for one sweep
-// and returns the release func. Entry points call it before spawning
-// workers; nested and concurrent binds (a ctx-aware call from inside —
-// or alongside — another) share the first signal, which stays bound
-// until the last overlapping sweep releases — a sweep can never lose
-// its cancellation because a sibling finished first.
-func (r *Runner) bind(ctx context.Context) func() {
-	r.bindMu.Lock()
-	defer r.bindMu.Unlock()
-	if r.bindCount == 0 {
-		r.bindCtx = ctx
-	}
-	r.bindCount++
-	return func() {
-		r.bindMu.Lock()
-		defer r.bindMu.Unlock()
-		if r.bindCount--; r.bindCount == 0 {
-			r.bindCtx = nil
-		}
-	}
-}
-
-// boundCtx returns the bound cancellation signal, nil when none.
-func (r *Runner) boundCtx() context.Context {
-	r.bindMu.Lock()
-	defer r.bindMu.Unlock()
-	return r.bindCtx
-}
-
-// cancelled reports whether the bound context (if any) has ended.
-func (r *Runner) cancelled() bool {
-	ctx := r.boundCtx()
-	if ctx == nil {
-		return false
-	}
-	select {
-	case <-ctx.Done():
-		return true
-	default:
-		return false
-	}
-}
-
-// checkCtx panics with a runAbort when the bound context has ended; the
-// context-aware boundary recovers it into the returned error.
-func (r *Runner) checkCtx() {
-	if ctx := r.boundCtx(); ctx != nil && ctx.Err() != nil {
-		panic(&runAbort{fmt.Errorf("experiments: sweep stopped: %w", errs.Cancelled(ctx.Err()))})
-	}
-}
-
-// runCtx returns the context simulations run under.
-func (r *Runner) runCtx() context.Context {
-	if ctx := r.boundCtx(); ctx != nil {
-		return ctx
-	}
-	return context.Background()
-}
-
-// runEntry is one memoized (possibly in-flight) simulation. done is closed
-// when res (or panicked) is valid.
-type runEntry struct {
-	done     chan struct{}
-	res      sim.Result
-	panicked any
-}
-
 // NewRunner builds a Runner at the given scale.
 func NewRunner(scale Scale) *Runner {
-	return &Runner{Scale: scale, cache: make(map[string]*runEntry)}
+	return &Runner{Scale: scale}
 }
 
 // parallelism resolves the effective worker count: 0 means GOMAXPROCS,
@@ -292,13 +201,13 @@ func (r *Runner) parallelism() int {
 // a workload spec ("mix:..." co-runs, "attack:..." aggressors) and
 // appended in scale order, so custom scales can put arbitrary scenarios
 // through every experiment. An unresolvable entry must not silently
-// shrink a figure: it panics here, and the context-aware entry points
-// (RunTables, impress.Lab.Experiments) recover that panic into a typed
-// error wrapping errs.ErrUnknownWorkload instead of crashing mid-sweep.
-func (r *Runner) Workloads() []trace.Workload {
+// shrink a figure: it returns an error wrapping errs.ErrUnknownWorkload,
+// which every sweep boundary (RunTables, SpecsFor, Prefetch, ShardSpecs)
+// reports before any simulation starts.
+func (r *Runner) Workloads() ([]trace.Workload, error) {
 	all := trace.Workloads()
 	if r.Scale.Workloads == nil {
-		return all
+		return all, nil
 	}
 	builtin := map[string]bool{}
 	for _, w := range all {
@@ -313,7 +222,7 @@ func (r *Runner) Workloads() []trace.Workload {
 		}
 		w, err := trace.WorkloadByName(n)
 		if err != nil {
-			panic(&runAbort{fmt.Errorf("experiments: scale %q: %w", r.Scale.Name, err)})
+			return nil, fmt.Errorf("experiments: scale %q: %w", r.Scale.Name, err)
 		}
 		extras = append(extras, w)
 	}
@@ -323,7 +232,7 @@ func (r *Runner) Workloads() []trace.Workload {
 			out = append(out, w)
 		}
 	}
-	return append(out, extras...)
+	return append(out, extras...), nil
 }
 
 // Opt is an optional override of a simulation parameter. The zero value
@@ -382,11 +291,16 @@ func (r *Runner) config(spec RunSpec) sim.Config {
 
 // storeSpec materializes the canonical resultstore spec for one run at
 // this runner's scale. It is the single key-derivation path: the memo
-// cache keys on storeSpec(spec).Key() and the persistent store looks up
-// the identical Spec, so an in-memory hit and an on-disk hit can never
-// name different simulations.
+// keys on storeSpec(spec).Key() and the persistent store looks up the
+// identical Spec, so an in-memory hit and an on-disk hit can never name
+// different simulations.
 func (r *Runner) storeSpec(spec RunSpec) resultstore.Spec {
-	sp, err := resultstore.SpecFor(r.config(spec))
+	return specOf(r.config(spec))
+}
+
+// specOf derives the store spec of a materialized RunSpec config.
+func specOf(cfg sim.Config) resultstore.Spec {
+	sp, err := resultstore.SpecFor(cfg)
 	if err != nil {
 		// Unreachable: SpecFor fails only for trace-file replays, which
 		// RunSpec cannot express.
@@ -395,6 +309,9 @@ func (r *Runner) storeSpec(spec RunSpec) resultstore.Spec {
 	return sp
 }
 
+// key is spec's memo and store key.
+func (r *Runner) key(spec RunSpec) string { return string(r.storeSpec(spec).Key()) }
+
 // Sims reports how many simulations this runner actually executed —
 // memoized repeats and persistent-store hits are excluded. A second sweep
 // against a warm Store keeps it at zero.
@@ -402,183 +319,44 @@ func (r *Runner) Sims() int64 { return r.sims.Load() }
 
 // Run executes (or recalls) the described simulation. Concurrent calls
 // with the same spec are deduplicated: one goroutine simulates, the rest
-// wait for its result. With a Store attached, the persistent cache is
-// consulted before simulating and written back after. Each distinct
-// spec's execution emits progress events (started, then cache-hit or
-// finished); memoized repeats emit nothing.
-//
-// Run panics on simulation failure or cancellation (wrapped as a typed
-// runAbort); the context-aware entry points recover that into an error,
-// and every experiment table builder relies on the panicking signature.
-func (r *Runner) Run(spec RunSpec) sim.Result {
-	r.checkCtx()
-	sp := r.storeSpec(spec)
-	k := string(sp.Key())
-	r.mu.Lock()
-	if r.cache == nil {
-		r.cache = make(map[string]*runEntry)
-	}
-	if e, ok := r.cache[k]; ok {
-		r.mu.Unlock()
-		<-e.done
-		if e.panicked != nil {
-			panic(e.panicked)
-		}
-		return e.res
-	}
-	e := &runEntry{done: make(chan struct{})}
-	r.cache[k] = e
-	r.mu.Unlock()
-
-	defer func() {
-		if p := recover(); p != nil {
-			if a, ok := p.(*runAbort); ok && errors.Is(a.err, errs.ErrCancelled) {
-				// A cancelled spec must stay retryable: drop the memo
-				// entry so a later call under a live context
-				// re-simulates instead of replaying the stale
-				// cancellation forever. Current waiters still observe
-				// the cancellation via e.panicked.
-				r.mu.Lock()
-				delete(r.cache, k)
-				r.mu.Unlock()
-			}
-			e.panicked = p
-			close(e.done)
-			panic(p)
-		}
-		close(e.done)
-	}()
-	label := specLabel(sp)
-	r.emit(Progress{Kind: ProgressSpecStarted, Spec: label, Key: k})
-	if r.Store != nil {
-		if res, ok := r.Store.Get(sp); ok {
-			e.res = res
-			r.emit(Progress{Kind: ProgressSpecCacheHit, Spec: label, Key: k})
-			return e.res
-		}
-	}
+// wait for its result under their own contexts. With a Store attached,
+// the persistent cache is consulted before simulating and written back
+// after (see Simulate). Each distinct spec's execution emits progress
+// events (started, then cache-hit or finished); memoized repeats emit
+// nothing. Invalid configs return errors wrapping errs.ErrBadSpec and
+// cancellation errors matching errs.ErrCancelled and ctx.Err(); a
+// cancelled spec stays retryable.
+func (r *Runner) Run(ctx context.Context, spec RunSpec) (sim.Result, error) {
 	cfg := r.config(spec)
-	var restored bool
-	if r.Store != nil {
-		restored = r.Store.AttachCheckpoints(&cfg)
-	}
-	res, err := sim.RunContext(r.runCtx(), cfg)
-	if err != nil {
-		panic(&runAbort{fmt.Errorf("experiments: %s: %w", label, err)})
-	}
-	e.res = res
-	r.sims.Add(1)
-	r.emit(Progress{Kind: ProgressSpecFinished, Spec: label, Key: k, Cycles: res.Cycles, WarmupRestored: restored})
-	if r.Store != nil {
-		// A write failure costs persistence, not correctness; it is
-		// counted in the store's Counters for the CLI summary line.
-		_ = r.Store.Put(sp, e.res)
-	}
-	return e.res
+	sp := specOf(cfg)
+	k := string(sp.Key())
+	return r.runs.do(ctx, k, func() (sim.Result, error) {
+		return Simulate(ctx, r.Store, r.emit, cfg, sp, k)
+	})
 }
+
+// result returns spec's memoized result for table assembly, after the
+// table's declared specs have executed.
+func (r *Runner) result(spec RunSpec) sim.Result { return r.runs.get(r.key(spec)) }
 
 // Prefetch executes the given specs over a worker pool of r.Parallelism
 // goroutines (GOMAXPROCS by default), deduplicating repeated and
-// already-cached specs. Table assembly that follows then hits the memo
-// cache only, so output is identical to running the specs serially. If any
-// simulation panics, Prefetch re-panics after the pool drains. When the
-// runner is bound to a context that ends mid-sweep, workers stop pulling
-// new specs, in-flight simulations return at their next macro-cycle
-// boundary, and the pool drains before the cancellation surfaces —
-// every result already produced is memoized (and store-written), so a
-// rerun resumes warm.
-func (r *Runner) Prefetch(specs []RunSpec) {
-	seen := make(map[string]bool, len(specs))
-	var todo []RunSpec
-	for _, s := range specs {
-		if k := string(r.storeSpec(s).Key()); !seen[k] {
-			seen[k] = true
-			todo = append(todo, s)
-		}
+// already-memoized specs, so table assembly that follows reads the memo
+// only and output is identical to running the specs serially. When ctx
+// ends mid-sweep, workers stop pulling new specs, in-flight simulations
+// return at their next macro-cycle boundary, and the pool drains before
+// the cancellation (matching errs.ErrCancelled and ctx.Err()) returns.
+// Every result already produced is memoized and store-written, so a rerun
+// resumes warm. An unresolvable scale workload returns an error wrapping
+// errs.ErrUnknownWorkload before any simulation starts.
+func (r *Runner) Prefetch(ctx context.Context, specs []RunSpec) error {
+	if _, err := r.Workloads(); err != nil {
+		return err
 	}
-	workers := r.parallelism()
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	if workers <= 1 {
-		for _, s := range todo {
-			r.Run(s)
-		}
-		return
-	}
-	queue := make(chan RunSpec, len(todo))
-	for _, s := range todo {
-		queue <- s
-	}
-	close(queue)
-	var (
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked any
-	)
-	// Cancellation makes every in-flight worker panic with a routine
-	// runAbort at once, so keep the first panic but let a genuine
-	// invariant panic (lockstep divergence, replay exhaustion) from a
-	// sibling worker displace a routine cancellation — it must not be
-	// masked behind a benign "interrupted" report.
-	record := func(p any) {
-		panicMu.Lock()
-		defer panicMu.Unlock()
-		if panicked == nil || isCancelAbort(panicked) && !isCancelAbort(p) {
-			panicked = p
-		}
-	}
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					record(p)
-				}
-			}()
-			for s := range queue {
-				if r.cancelled() {
-					break // drain: stop starting new specs
-				}
-				r.Run(s)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-	r.checkCtx() // all workers may have drained without running anything
-}
-
-// isCancelAbort reports whether a recovered panic value is the routine
-// cancellation abort (as opposed to an invariant violation).
-func isCancelAbort(p any) bool {
-	a, ok := p.(*runAbort)
-	return ok && errors.Is(a.err, errs.ErrCancelled)
-}
-
-// PrefetchContext is Prefetch under a context: it binds ctx for the
-// sweep's duration and returns — instead of panicking — a typed error on
-// cancellation (matching errs.ErrCancelled and ctx.Err()) or simulation
-// failure. Completed specs stay memoized and store-written either way,
-// and cancelled specs are dropped from the memo so a retry under a live
-// context re-simulates them. Concurrent context-aware sweeps on one
-// runner share the first caller's cancellation signal.
-func (r *Runner) PrefetchContext(ctx context.Context, specs []RunSpec) (err error) {
-	defer r.bind(ctx)()
-	defer func() {
-		if p := recover(); p != nil {
-			if a, ok := p.(*runAbort); ok {
-				err = a.err
-				return
-			}
-			panic(p)
-		}
-	}()
-	r.Prefetch(specs)
-	return nil
+	return forEach(ctx, r.parallelism(), unique(specs, r.key), func(s RunSpec) error {
+		_, err := r.Run(ctx, s)
+		return err
+	})
 }
 
 // ShardSpecs returns the deterministic subset of specs owned by shard
@@ -592,55 +370,35 @@ func (r *Runner) PrefetchContext(ctx context.Context, specs []RunSpec) (err erro
 //
 // Out-of-range index/count returns an error wrapping errs.ErrBadSpec —
 // shard parameters that arrive over the wire (the impress-labd job API)
-// must be rejectable without killing the server. Shard is the
-// historical panicking wrapper.
+// must be rejectable without killing the server — and an unresolvable
+// scale workload one wrapping errs.ErrUnknownWorkload.
 func (r *Runner) ShardSpecs(specs []RunSpec, index, count int) ([]RunSpec, error) {
 	if count < 1 || index < 1 || index > count {
 		return nil, fmt.Errorf("experiments: %w: shard %d/%d out of range (want 1 <= index <= count)",
 			errs.ErrBadSpec, index, count)
 	}
-	seen := make(map[string]bool, len(specs))
+	if _, err := r.Workloads(); err != nil {
+		return nil, err
+	}
 	var out []RunSpec
-	for _, s := range specs {
-		k := r.storeSpec(s).Key()
-		if seen[string(k)] {
-			continue
-		}
-		seen[string(k)] = true
-		if shardOf(k, count) == index-1 {
+	for _, s := range unique(specs, r.key) {
+		if shardOf(r.key(s), count) == index-1 {
 			out = append(out, s)
 		}
 	}
 	return out, nil
 }
 
-// Shard is ShardSpecs with the pre-daemon panicking contract on an
-// out-of-range index/count, kept for legacy callers that validate their
-// shard parameters up front (the impress-experiments -shard flag).
-func (r *Runner) Shard(specs []RunSpec, index, count int) []RunSpec {
-	out, err := r.ShardSpecs(specs, index, count)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
-}
-
 // shardOf maps a canonical key to a shard in [0, count): the key is a
 // sha256, so its leading 60 bits are uniformly distributed and taking
 // them modulo count balances shards to within sampling noise.
-func shardOf(k resultstore.Key, count int) int {
-	v, err := strconv.ParseUint(string(k[:15]), 16, 64)
+func shardOf(k string, count int) int {
+	v, err := strconv.ParseUint(k[:15], 16, 64)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: malformed result key %q: %v", k, err))
 	}
 	return int(v % uint64(count))
 }
-
-// SimSpecs returns the union of every simulation-backed experiment's run
-// specs — the full spec universe a complete sweep simulates. Shard
-// partitions it for fleet execution; Prefetch deduplicates the overlap
-// between figures (shared baselines).
-func SimSpecs(r *Runner) []RunSpec { return allSimSpecs(r) }
 
 // baselineSpec is the unprotected (no tracker, no defense) run.
 func baselineSpec(w trace.Workload) RunSpec {
@@ -654,17 +412,6 @@ func noRPSpec(w trace.Workload, tracker sim.TrackerKind, trh float64, rfmth int)
 		Workload: w, Design: core.NewDesign(core.NoRP), Tracker: tracker,
 		DesignTRH: TRH(trh), RFMTH: RFM(rfmth),
 	}
-}
-
-// Baseline returns the unprotected (no tracker, no defense) run.
-func (r *Runner) Baseline(w trace.Workload) sim.Result {
-	return r.Run(baselineSpec(w))
-}
-
-// NoRP returns the Rowhammer-only baseline for a tracker (the paper's
-// "No-RP" normalization target).
-func (r *Runner) NoRP(w trace.Workload, tracker sim.TrackerKind, trh float64, rfmth int) sim.Result {
-	return r.Run(noRPSpec(w, tracker, trh, rfmth))
 }
 
 // geoMeanBy splits per-workload values into the paper's SPEC and STREAM

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
+
+	"impress/internal/errs"
 
 	"impress/internal/sim"
 	"impress/internal/trace"
@@ -14,6 +18,33 @@ import (
 func tinyScale() Scale {
 	return Scale{Name: "tiny", Warmup: 5_000, Run: 25_000,
 		Workloads: []string{"gcc", "copy"}}
+}
+
+// workloads resolves r's scale, failing the test on an error.
+func workloads(t testing.TB, r *Runner) []trace.Workload {
+	t.Helper()
+	ws, err := r.Workloads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws
+}
+
+// build assembles the registered experiment id through r, failing the
+// test on an error.
+func build(t testing.TB, id string, r *Runner) *Table {
+	t.Helper()
+	for _, d := range Definitions() {
+		if d.ID == id {
+			tab, err := d.Build(context.Background(), r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tab
+		}
+	}
+	t.Fatalf("no experiment %q", id)
+	return nil
 }
 
 func cell(t *Table, row, col int) float64 {
@@ -38,10 +69,19 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestAnalyticalTablesNonEmpty(t *testing.T) {
-	for _, tab := range Analytical() {
-		if tab.ID == "" || len(tab.Header) == 0 || len(tab.Rows) == 0 {
-			t.Fatalf("experiment %q is empty", tab.ID)
+	n := 0
+	for _, d := range Definitions() {
+		if !d.Analytical {
+			continue
 		}
+		n++
+		tab := build(t, d.ID, NewRunner(tinyScale()))
+		if tab.ID != d.ID || len(tab.Header) == 0 || len(tab.Rows) == 0 {
+			t.Fatalf("experiment %q is empty (built %q)", d.ID, tab.ID)
+		}
+	}
+	if n < 17 {
+		t.Fatalf("only %d analytical experiments registered", n)
 	}
 }
 
@@ -74,7 +114,7 @@ func TestFigure12MatchesPaper(t *testing.T) {
 }
 
 func TestEquation5Table(t *testing.T) {
-	tab := ImpressNWorstCase()
+	tab := build(t, "eq5", nil)
 	for _, row := range tab.Rows {
 		ratio, _ := strconv.ParseFloat(row[3], 64)
 		want, _ := strconv.ParseFloat(row[4], 64)
@@ -85,7 +125,7 @@ func TestEquation5Table(t *testing.T) {
 }
 
 func TestFigure18FlatInK(t *testing.T) {
-	tab := Figure18()
+	tab := build(t, "fig18", nil)
 	// Analytic columns are exactly flat.
 	for col := 1; col <= 3; col++ {
 		first := cell(tab, 0, col)
@@ -142,33 +182,41 @@ func TestStorageTableAnchors(t *testing.T) {
 
 func TestRunnerMemoizes(t *testing.T) {
 	r := NewRunner(tinyScale())
-	w := r.Workloads()[0]
-	a := r.Baseline(w)
-	b := r.Baseline(w)
+	spec := baselineSpec(workloads(t, r)[0])
+	a, err := r.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.Cycles != b.Cycles || a.WeightedIPCSum != b.WeightedIPCSum {
 		t.Fatal("memoized run differs")
 	}
-	if len(r.cache) != 1 {
-		t.Fatalf("cache has %d entries, want 1", len(r.cache))
+	if n := len(r.runs.m); n != 1 {
+		t.Fatalf("cache has %d entries, want 1", n)
+	}
+	if r.Sims() != 1 {
+		t.Fatalf("simulated %d times, want 1", r.Sims())
 	}
 }
 
 func TestRunnerWorkloadFilter(t *testing.T) {
 	r := NewRunner(tinyScale())
-	ws := r.Workloads()
+	ws := workloads(t, r)
 	if len(ws) != 2 {
 		t.Fatalf("filtered workloads = %d, want 2", len(ws))
 	}
-	full := NewRunner(FullScale())
-	if len(full.Workloads()) != 20 {
-		t.Fatalf("full workloads = %d, want 20", len(full.Workloads()))
+	if n := len(workloads(t, NewRunner(FullScale()))); n != 20 {
+		t.Fatalf("full workloads = %d, want 20", n)
 	}
 }
 
 func TestRunnerWorkloadsResolveSpecs(t *testing.T) {
 	r := NewRunner(Scale{Name: "custom", Warmup: 1, Run: 1,
 		Workloads: []string{"copy", "gcc", "mix:gcc,attack:hammer"}})
-	ws := r.Workloads()
+	ws := workloads(t, r)
 	if len(ws) != 3 {
 		t.Fatalf("resolved %d workloads, want 3", len(ws))
 	}
@@ -182,19 +230,19 @@ func TestRunnerWorkloadsResolveSpecs(t *testing.T) {
 	}
 }
 
-func TestRunnerWorkloadsUnknownSpecPanics(t *testing.T) {
+func TestRunnerWorkloadsUnknownSpecErrors(t *testing.T) {
 	r := NewRunner(Scale{Name: "typo", Warmup: 1, Run: 1, Workloads: []string{"gcc", "bogus"}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a scale naming an unknown workload must panic, not shrink figures silently")
-		}
-	}()
-	r.Workloads()
+	ws, err := r.Workloads()
+	if !errors.Is(err, errs.ErrUnknownWorkload) || !strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("a scale naming an unknown workload must fail with ErrUnknownWorkload, not shrink figures silently: %v", err)
+	}
+	if ws != nil {
+		t.Fatalf("failed resolution returned %d workloads", len(ws))
+	}
 }
 
 func TestFigure3ShapeTiny(t *testing.T) {
-	r := NewRunner(tinyScale())
-	tab := Figure3(r)
+	tab := build(t, "fig3", NewRunner(tinyScale()))
 	// Last two rows are the geomeans; STREAM at tMRO=36 must be below
 	// SPEC at tMRO=36 (the paper's central Fig. 3 contrast).
 	n := len(tab.Rows)
@@ -209,8 +257,7 @@ func TestFigure3ShapeTiny(t *testing.T) {
 }
 
 func TestFigure13ImpressPNearBaseline(t *testing.T) {
-	r := NewRunner(tinyScale())
-	tab := Figure13(r)
+	tab := build(t, "fig13", NewRunner(tinyScale()))
 	n := len(tab.Rows)
 	// Columns 3 and 6 are graphene/impress-p and para/impress-p geomeans.
 	for _, col := range []int{3, 6} {

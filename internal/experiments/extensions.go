@@ -1,17 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
-	"sync"
-
-	"impress/internal/stats"
 
 	"impress/internal/attack"
 	"impress/internal/clm"
 	"impress/internal/core"
 	"impress/internal/dram"
 	"impress/internal/security"
+	"impress/internal/stats"
 	"impress/internal/trackers"
 )
 
@@ -22,7 +21,7 @@ import (
 // with Per-Row Activation Counting by adding 7 fractional bits to the
 // in-array counter, containing Row-Press at the full threshold with no
 // SRAM entries at all.
-func PRACTable() *Table {
+func PRACTable(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID: "prac", Title: "PRAC + ImPress-P (paper Section VI-F extension)",
 		Header: []string{"Config", "Counter bits/row", "RH peak damage", "RP(tREFI) peak damage", "verdict"},
@@ -41,8 +40,14 @@ func PRACTable() *Table {
 			Design: cfg.design, DesignTRH: 4000,
 			AlphaTrue: clm.AlphaLongDuration, RFMTH: 80, Tracker: factory,
 		}
-		rh := security.Run(sc, &attack.Rowhammer{Row: 1 << 20, Timings: tm})
-		rp := security.Run(sc, &attack.RowPress{Row: 1 << 20, TON: tm.TREFI, Timings: tm})
+		rh, err := security.RunContext(ctx, sc, &attack.Rowhammer{Row: 1 << 20, Timings: tm})
+		if err != nil {
+			return nil, err
+		}
+		rp, err := security.RunContext(ctx, sc, &attack.RowPress{Row: 1 << 20, TON: tm.TREFI, Timings: tm})
+		if err != nil {
+			return nil, err
+		}
 		verdict := "contained"
 		if rp.MaxDamage >= 4000 {
 			verdict = "BROKEN by Row-Press"
@@ -55,7 +60,7 @@ func PRACTable() *Table {
 	}
 	t.Notes = append(t.Notes,
 		"PRAC stores counters in the DRAM array (no SRAM budget); ImPress-P widens each by 7 bits")
-	return t
+	return t, nil
 }
 
 // RelatedWorkDSAC quantifies Section VII's criticism of DSAC's logarithmic
@@ -81,14 +86,9 @@ func RelatedWorkDSAC() *Table {
 
 // AblationRFMPacing shows why RFM must be paced on the weighted EACT
 // stream rather than raw ACT counts (DESIGN.md design-choice ablation).
-// Its harness runs execute concurrently up to GOMAXPROCS; use
-// AblationRFMPacingParallel to bound that explicitly.
-func AblationRFMPacing() *Table { return AblationRFMPacingParallel(0) }
-
-// AblationRFMPacingParallel is AblationRFMPacing with an explicit
-// concurrency bound (0 = GOMAXPROCS, 1 = fully serial). Output is
-// identical at every level.
-func AblationRFMPacingParallel(parallelism int) *Table {
+// Its harness runs execute concurrently up to parallelism (0 =
+// GOMAXPROCS, 1 = fully serial); output is identical at every level.
+func AblationRFMPacing(ctx context.Context, parallelism int) (*Table, error) {
 	t := &Table{
 		ID: "ablation-rfm", Title: "Ablation: RFM pacing on EACT vs raw ACT counts (MINT + ImPress-P)",
 		Header: []string{"RFM pacing", "RFMs issued", "peak damage", "verdict"},
@@ -106,7 +106,16 @@ func AblationRFMPacingParallel(parallelism int) *Table {
 	// The harness runs are independent (each owns its seeded RNG chain);
 	// run them over a bounded worker pool and assemble rows in declared
 	// order so output is identical at every parallelism level.
-	buildRow := func(i int) []string {
+	workers := parallelism
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	rows := make([][]string, len(configs))
+	order := make([]int, len(configs))
+	for i := range order {
+		order[i] = i
+	}
+	err := forEach(ctx, workers, order, func(i int) error {
 		cfg := configs[i]
 		seed := cfg.seed
 		sc := security.Config{
@@ -114,58 +123,25 @@ func AblationRFMPacingParallel(parallelism int) *Table {
 			AlphaTrue: 1, RFMTH: 80, RFMPaceOnRawACTs: cfg.raw,
 			Tracker: func(trh float64) trackers.Tracker {
 				seed++
-				return trackers.NewMINT(80, newSeededRand(seed))
+				return trackers.NewMINT(80, stats.NewRand(seed))
 			},
 		}
-		res := security.Run(sc, &attack.RowPress{Row: 1 << 20, TON: tm.TONMax, Timings: tm})
+		res, err := security.RunContext(ctx, sc, &attack.RowPress{Row: 1 << 20, TON: tm.TONMax, Timings: tm})
+		if err != nil {
+			return err
+		}
 		verdict := "contained"
 		if res.MaxDamage >= mintTRH {
 			verdict = "BROKEN (tracker starved)"
 		}
-		return []string{cfg.name, fmt.Sprintf("%d", res.RFMs), f1(res.MaxDamage), verdict}
-	}
-	// With two configs the bound degenerates to serial (workers <= 1,
-	// including negative = clamped serial) vs concurrent (one goroutine
-	// per config); 0 resolves to GOMAXPROCS like Runner.Parallelism.
-	workers := parallelism
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	rows := make([][]string, len(configs))
-	if workers <= 1 {
-		for i := range configs {
-			rows[i] = buildRow(i)
-		}
-	} else {
-		// One goroutine per config (there are two); capture the first
-		// panic and resurface it after the pool drains.
-		var (
-			wg        sync.WaitGroup
-			panicOnce sync.Once
-			panicked  any
-		)
-		for i := range configs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if p := recover(); p != nil {
-						panicOnce.Do(func() { panicked = p })
-					}
-				}()
-				rows[i] = buildRow(i)
-			}()
-		}
-		wg.Wait()
-		if panicked != nil {
-			panic(panicked)
-		}
+		rows[i] = []string{cfg.name, fmt.Sprintf("%d", res.RFMs), f1(res.MaxDamage), verdict}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Rows = append(t.Rows, rows...)
 	t.Notes = append(t.Notes,
 		"pacing RFM on raw ACTs lets a pressing attacker starve in-DRAM trackers of mitigation windows")
-	return t
+	return t, nil
 }
-
-// newSeededRand is a tiny indirection so ablation configs read cleanly.
-func newSeededRand(seed uint64) *stats.Rand { return stats.NewRand(seed) }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -27,9 +28,12 @@ func TestGoldenTables(t *testing.T) {
 		t.Skip("golden-table comparison skipped in -short mode")
 	}
 	dir := filepath.Join("testdata", "golden")
-	r := NewRunner(QuickScale())
+	tables, err := RunTables(context.Background(), NewRunner(QuickScale()), RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := map[string]bool{}
-	for _, tab := range All(r) {
+	for _, tab := range tables {
 		if seen[tab.ID] {
 			t.Fatalf("duplicate experiment ID %q", tab.ID)
 		}

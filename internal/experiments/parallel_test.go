@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 
+	"impress/internal/errs"
 	"impress/internal/sim"
+	"impress/internal/trace"
 )
 
 // renderAll renders tables to one string for byte-level comparison.
@@ -29,7 +33,7 @@ func TestPrefetchDeterminism(t *testing.T) {
 	build := func(parallelism int) string {
 		r := NewRunner(QuickScale())
 		r.Parallelism = parallelism
-		return renderAll([]*Table{Figure3(r), Figure13(r), EnergyTable(r)})
+		return renderAll([]*Table{build(t, "fig3", r), build(t, "fig13", r), build(t, "energy", r)})
 	}
 	serial := build(1)
 	parallel := build(8)
@@ -45,26 +49,32 @@ func TestPrefetchDeterminism(t *testing.T) {
 // Run under -race this is the concurrency test the CI workflow relies on.
 func TestConcurrentRunSingleflight(t *testing.T) {
 	r := NewRunner(tinyScale())
-	spec := baselineSpec(r.Workloads()[0])
+	spec := baselineSpec(workloads(t, r)[0])
 	const goroutines = 16
 	results := make([]sim.Result, goroutines)
+	errs := make([]error, goroutines)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i] = r.Run(spec)
+			results[i], errs[i] = r.Run(context.Background(), spec)
 		}()
 	}
 	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", i, err)
+		}
+	}
 	for i := 1; i < goroutines; i++ {
 		if results[i].Cycles != results[0].Cycles ||
 			results[i].WeightedIPCSum != results[0].WeightedIPCSum {
 			t.Fatalf("goroutine %d saw a different result", i)
 		}
 	}
-	if len(r.cache) != 1 {
-		t.Fatalf("cache has %d entries, want 1 (singleflight must dedup)", len(r.cache))
+	if n := len(r.runs.m); n != 1 || r.Sims() != 1 {
+		t.Fatalf("cache has %d entries after %d simulations, want 1 and 1 (singleflight must dedup)", n, r.Sims())
 	}
 }
 
@@ -72,20 +82,29 @@ func TestConcurrentRunSingleflight(t *testing.T) {
 // exercise the cache lock under contention (meaningful under -race).
 func TestConcurrentRunDistinctSpecs(t *testing.T) {
 	r := NewRunner(tinyScale())
-	ws := r.Workloads()
+	ws := workloads(t, r)
+	errs := make(chan error, 16)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			w := ws[i%len(ws)]
-			r.Run(baselineSpec(w))
-			r.Run(noRPSpec(w, sim.TrackerGraphene, 4000, 80))
+			_, err := r.Run(context.Background(), baselineSpec(w))
+			errs <- err
+			_, err = r.Run(context.Background(), noRPSpec(w, sim.TrackerGraphene, 4000, 80))
+			errs <- err
 		}()
 	}
 	wg.Wait()
-	if len(r.cache) != 2*len(ws) {
-		t.Fatalf("cache has %d entries, want %d", len(r.cache), 2*len(ws))
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(r.runs.m); n != 2*len(ws) {
+		t.Fatalf("cache has %d entries, want %d", n, 2*len(ws))
 	}
 }
 
@@ -94,26 +113,35 @@ func TestConcurrentRunDistinctSpecs(t *testing.T) {
 func TestPrefetchDedupsAndCaches(t *testing.T) {
 	r := NewRunner(tinyScale())
 	r.Parallelism = 4
-	w := r.Workloads()[0]
+	w := workloads(t, r)[0]
 	spec := baselineSpec(w)
-	r.Prefetch([]RunSpec{spec, spec, spec, noRPSpec(w, sim.TrackerGraphene, 4000, 80)})
-	if len(r.cache) != 2 {
-		t.Fatalf("cache has %d entries, want 2", len(r.cache))
+	ctx := context.Background()
+	if err := r.Prefetch(ctx, []RunSpec{spec, spec, spec, noRPSpec(w, sim.TrackerGraphene, 4000, 80)}); err != nil {
+		t.Fatal(err)
 	}
-	before := len(r.cache)
-	r.Run(spec)
-	if len(r.cache) != before {
+	if n := len(r.runs.m); n != 2 || r.Sims() != 2 {
+		t.Fatalf("cache has %d entries after %d simulations, want 2 and 2", n, r.Sims())
+	}
+	if _, err := r.Run(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(r.runs.m); n != 2 || r.Sims() != 2 {
 		t.Fatal("Run after Prefetch should be a pure cache hit")
 	}
 }
 
-// TestPrefetchPanicPropagates checks that a panicking simulation does not
-// hang the pool or its waiters: the panic resurfaces to the Prefetch
-// caller, and later Run calls on the poisoned entry re-panic too.
+// TestPrefetchPanicPropagates checks that a simulation hitting an
+// internal invariant panic does not hang the pool or its waiters: the
+// panic resurfaces to the Prefetch caller, and later Run calls on the
+// poisoned entry re-panic too.
 func TestPrefetchPanicPropagates(t *testing.T) {
 	r := NewRunner(tinyScale())
 	r.Parallelism = 2
-	bad := RunSpec{Workload: r.Workloads()[0], Tracker: sim.TrackerKind("bogus")}
+	broken := trace.Workload{Name: "broken", NewGenerator: func(int, uint64) trace.Generator {
+		panic("generator invariant violated")
+	}}
+	bad := RunSpec{Workload: broken, Design: baselineSpec(broken).Design, Tracker: sim.TrackerNone}
+	ctx := context.Background()
 	mustPanic := func(f func()) {
 		t.Helper()
 		defer func() {
@@ -123,16 +151,39 @@ func TestPrefetchPanicPropagates(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic(func() { r.Prefetch([]RunSpec{bad}) })
-	mustPanic(func() { r.Run(bad) })
+	mustPanic(func() { _ = r.Prefetch(ctx, []RunSpec{bad, baselineSpec(workloads(t, r)[0])}) })
+	mustPanic(func() { _, _ = r.Run(ctx, bad) })
 }
 
 // TestRunnerZeroValueUsable checks the mutex-guarded cache lazily
 // initializes so a zero-value Runner (plus a Scale) still works.
 func TestRunnerZeroValueUsable(t *testing.T) {
 	r := &Runner{Scale: tinyScale()}
-	res := r.Run(baselineSpec(r.Workloads()[0]))
+	res, err := r.Run(context.Background(), baselineSpec(workloads(t, r)[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.WeightedIPCSum <= 0 {
 		t.Fatalf("bad result from zero-value runner: %+v", res)
+	}
+}
+
+// TestPrefetchReturnsSpecErrors: a spec the simulator rejects is an
+// ordinary typed error from Prefetch and Run — not a panic — and is not
+// memoized, so a later call reports it afresh.
+func TestPrefetchReturnsSpecErrors(t *testing.T) {
+	r := NewRunner(tinyScale())
+	r.Parallelism = 2
+	w := workloads(t, r)[0]
+	bad := RunSpec{Workload: w, Design: baselineSpec(w).Design, Tracker: sim.TrackerKind("bogus")}
+	ctx := context.Background()
+	if err := r.Prefetch(ctx, []RunSpec{bad, baselineSpec(w)}); !errors.Is(err, errs.ErrBadSpec) {
+		t.Fatalf("Prefetch with a bogus tracker returned %v; want ErrBadSpec", err)
+	}
+	if _, err := r.Run(ctx, bad); !errors.Is(err, errs.ErrBadSpec) {
+		t.Fatalf("Run with a bogus tracker returned %v; want ErrBadSpec", err)
+	}
+	if _, err := r.Run(ctx, bad); !errors.Is(err, errs.ErrBadSpec) {
+		t.Fatalf("a failed spec must not be memoized as a success: %v", err)
 	}
 }

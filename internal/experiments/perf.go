@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"impress/internal/core"
@@ -40,10 +39,10 @@ func fig3Spec(w trace.Workload, ns int64) RunSpec {
 	return RunSpec{Workload: w, Design: design, Tracker: sim.TrackerNone}
 }
 
-// figure3Specs declares every simulation Figure3 needs.
-func figure3Specs(r *Runner) []RunSpec {
+// figure3Specs declares every simulation fig3 needs.
+func figure3Specs(ws []trace.Workload) []RunSpec {
 	var specs []RunSpec
-	for _, w := range r.Workloads() {
+	for _, w := range ws {
 		specs = append(specs, baselineSpec(w))
 		for _, ns := range tMROSweepNs {
 			specs = append(specs, fig3Spec(w, ns))
@@ -52,10 +51,9 @@ func figure3Specs(r *Runner) []RunSpec {
 	return specs
 }
 
-// Figure3 regenerates the per-workload performance impact of limiting
+// figure3 regenerates the per-workload performance impact of limiting
 // row-open time to tMRO (no Rowhammer tracker; pure row-policy effect).
-func Figure3(r *Runner) *Table {
-	r.Prefetch(figure3Specs(r))
+func figure3(r *Runner, ws []trace.Workload) *Table {
 	t := &Table{
 		ID: "fig3", Title: "Normalized performance vs tMRO (paper Fig. 3)",
 		Header: []string{"Workload"},
@@ -67,12 +65,11 @@ func Figure3(r *Runner) *Table {
 	for i := range perTMRO {
 		perTMRO[i] = map[string]float64{}
 	}
-	ws := r.Workloads()
 	for _, w := range ws {
-		base := r.Baseline(w)
+		base := r.result(baselineSpec(w))
 		row := []string{w.Name}
 		for i, ns := range tMROSweepNs {
-			res := r.Run(fig3Spec(w, ns))
+			res := r.result(fig3Spec(w, ns))
 			v := res.NormalizeTo(base)
 			perTMRO[i][w.Name] = v
 			row = append(row, f3(v))
@@ -97,11 +94,11 @@ func fig5Spec(w trace.Workload, tracker sim.TrackerKind, ns int64) RunSpec {
 	return RunSpec{Workload: w, Design: design, Tracker: tracker, DesignTRH: TRH(4000)}
 }
 
-// figure5Specs declares every simulation Figure5 needs.
-func figure5Specs(r *Runner) []RunSpec {
+// figure5Specs declares every simulation fig5 needs.
+func figure5Specs(ws []trace.Workload) []RunSpec {
 	var specs []RunSpec
 	for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
-		for _, w := range r.Workloads() {
+		for _, w := range ws {
 			specs = append(specs, noRPSpec(w, tracker, 4000, 80))
 			for _, ns := range tMROSweepNs {
 				specs = append(specs, fig5Spec(w, tracker, ns))
@@ -111,10 +108,9 @@ func figure5Specs(r *Runner) []RunSpec {
 	return specs
 }
 
-// Figure5 regenerates the Graphene/PARA performance as tMRO varies under
+// figure5 regenerates the Graphene/PARA performance as tMRO varies under
 // ExPress with the characterized T*(tMRO) retuning.
-func Figure5(r *Runner) *Table {
-	r.Prefetch(figure5Specs(r))
+func figure5(r *Runner, ws []trace.Workload) *Table {
 	t := &Table{
 		ID: "fig5", Title: "Graphene and PARA performance vs tMRO under ExPress (paper Fig. 5)",
 		Header: []string{"Tracker", "Class"},
@@ -123,7 +119,6 @@ func Figure5(r *Runner) *Table {
 		t.Header = append(t.Header, fmt.Sprintf("tMRO=%dns", ns))
 	}
 	t.Header = append(t.Header, "no-tMRO")
-	ws := r.Workloads()
 	for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
 		specRow := []string{string(tracker), "SPEC"}
 		streamRow := []string{string(tracker), "STREAM"}
@@ -132,9 +127,9 @@ func Figure5(r *Runner) *Table {
 			cols[i] = map[string]float64{}
 		}
 		for _, w := range ws {
-			base := r.NoRP(w, tracker, 4000, 80)
+			base := r.result(noRPSpec(w, tracker, 4000, 80))
 			for i, ns := range tMROSweepNs {
-				res := r.Run(fig5Spec(w, tracker, ns))
+				res := r.result(fig5Spec(w, tracker, ns))
 				cols[i][w.Name] = res.NormalizeTo(base)
 			}
 			// "no-tMRO" is the No-RP configuration itself (tON unlimited).
@@ -173,11 +168,11 @@ func fig13MintSpecs(w trace.Workload) (specN, specP RunSpec) {
 	return specN, specP
 }
 
-// figure13Specs declares every simulation Figure13 needs.
-func figure13Specs(r *Runner) []RunSpec {
+// figure13Specs declares every simulation fig13 needs.
+func figure13Specs(ws []trace.Workload) []RunSpec {
 	var specs []RunSpec
 	mintTRH := trackers.MINTToleratedTRH(80)
-	for _, w := range r.Workloads() {
+	for _, w := range ws {
 		for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
 			specs = append(specs, noRPSpec(w, tracker, 4000, 80))
 			for _, d := range designSet13(1) {
@@ -191,11 +186,10 @@ func figure13Specs(r *Runner) []RunSpec {
 	return specs
 }
 
-// Figure13 regenerates the headline per-workload performance comparison:
+// figure13 regenerates the headline per-workload performance comparison:
 // ExPress vs ImPress-N vs ImPress-P (alpha = 1) on Graphene and PARA, and
 // ImPress-N (RFM-40) vs ImPress-P (RFM-80) on MINT.
-func Figure13(r *Runner) *Table {
-	r.Prefetch(figure13Specs(r))
+func figure13(r *Runner, ws []trace.Workload) *Table {
 	t := &Table{
 		ID: "fig13", Title: "Performance normalized to No-RP, alpha=1 (paper Fig. 13)",
 		Header: []string{"Workload",
@@ -203,7 +197,6 @@ func Figure13(r *Runner) *Table {
 			"para/express", "para/impress-n", "para/impress-p",
 			"mint/impress-n(rfm40)", "mint/impress-p"},
 	}
-	ws := r.Workloads()
 	cols := make([]map[string]float64, 8)
 	for i := range cols {
 		cols[i] = map[string]float64{}
@@ -212,9 +205,9 @@ func Figure13(r *Runner) *Table {
 		row := []string{w.Name}
 		col := 0
 		for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
-			base := r.NoRP(w, tracker, 4000, 80)
+			base := r.result(noRPSpec(w, tracker, 4000, 80))
 			for _, d := range designSet13(1) {
-				res := r.Run(RunSpec{Workload: w, Design: d, Tracker: tracker, DesignTRH: TRH(4000)})
+				res := r.result(RunSpec{Workload: w, Design: d, Tracker: tracker, DesignTRH: TRH(4000)})
 				v := res.NormalizeTo(base)
 				cols[col][w.Name] = v
 				row = append(row, f3(v))
@@ -225,9 +218,9 @@ func Figure13(r *Runner) *Table {
 		// tolerated threshold by halving RFMTH to 40 (Appendix A);
 		// ImPress-P stays at RFM-80.
 		mintTRH := trackers.MINTToleratedTRH(80)
-		base := r.NoRP(w, sim.TrackerMINT, mintTRH, 80)
+		base := r.result(noRPSpec(w, sim.TrackerMINT, mintTRH, 80))
 		specN, specP := fig13MintSpecs(w)
-		resN, resP := r.Run(specN), r.Run(specP)
+		resN, resP := r.result(specN), r.result(specP)
 		vN, vP := resN.NormalizeTo(base), resP.NormalizeTo(base)
 		cols[6][w.Name], cols[7][w.Name] = vN, vP
 		row = append(row, f3(vN), f3(vP))
@@ -271,11 +264,11 @@ func fig16MintSpec(w trace.Workload, alpha float64, rfmth int) RunSpec {
 		Tracker: sim.TrackerMINT, DesignTRH: TRH(mintTRH), RFMTH: RFM(rfmth)}
 }
 
-// figure16Specs declares every simulation Figure16 needs.
-func figure16Specs(r *Runner) []RunSpec {
+// figure16Specs declares every simulation fig16 needs.
+func figure16Specs(ws []trace.Workload) []RunSpec {
 	var specs []RunSpec
 	mintTRH := trackers.MINTToleratedTRH(80)
-	for _, w := range r.Workloads() {
+	for _, w := range ws {
 		for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
 			specs = append(specs, noRPSpec(w, tracker, 4000, 80))
 			for _, d := range fig16Designs() {
@@ -290,9 +283,8 @@ func figure16Specs(r *Runner) []RunSpec {
 	return specs
 }
 
-// Figure16 regenerates the Appendix-A comparison at alpha in {0.35, 1}.
-func Figure16(r *Runner) *Table {
-	r.Prefetch(figure16Specs(r))
+// figure16 regenerates the Appendix-A comparison at alpha in {0.35, 1}.
+func figure16(r *Runner, ws []trace.Workload) *Table {
 	t := &Table{
 		ID: "fig16", Title: "ExPress vs ImPress-N at alpha 0.35 and 1 (paper Fig. 16)",
 		Header: []string{"Workload",
@@ -300,7 +292,6 @@ func Figure16(r *Runner) *Table {
 			"para/express(.35)", "para/impress-n(.35)", "para/express(1)", "para/impress-n(1)",
 			"mint/impress-n(.35,rfm60)", "mint/impress-n(1,rfm40)"},
 	}
-	ws := r.Workloads()
 	numCols := 10
 	cols := make([]map[string]float64, numCols)
 	for i := range cols {
@@ -310,9 +301,9 @@ func Figure16(r *Runner) *Table {
 		row := []string{w.Name}
 		col := 0
 		for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
-			base := r.NoRP(w, tracker, 4000, 80)
+			base := r.result(noRPSpec(w, tracker, 4000, 80))
 			for _, d := range fig16Designs() {
-				res := r.Run(RunSpec{Workload: w, Design: d, Tracker: tracker, DesignTRH: TRH(4000)})
+				res := r.result(RunSpec{Workload: w, Design: d, Tracker: tracker, DesignTRH: TRH(4000)})
 				v := res.NormalizeTo(base)
 				cols[col][w.Name] = v
 				row = append(row, f3(v))
@@ -320,9 +311,9 @@ func Figure16(r *Runner) *Table {
 			}
 		}
 		mintTRH := trackers.MINTToleratedTRH(80)
-		base := r.NoRP(w, sim.TrackerMINT, mintTRH, 80)
+		base := r.result(noRPSpec(w, sim.TrackerMINT, mintTRH, 80))
 		for i, cfg := range fig16MintConfigs {
-			res := r.Run(fig16MintSpec(w, cfg.alpha, cfg.rfmth))
+			res := r.result(fig16MintSpec(w, cfg.alpha, cfg.rfmth))
 			v := res.NormalizeTo(base)
 			cols[8+i][w.Name] = v
 			row = append(row, f3(v))
@@ -342,7 +333,7 @@ func Figure16(r *Runner) *Table {
 }
 
 // namedDesign pairs a display label with a design for the comparison sets
-// shared by Figure14, EnergyTable and Figure15.
+// shared by fig14, energy and fig15.
 type namedDesign struct {
 	name string
 	d    core.Design
@@ -357,11 +348,11 @@ func comparisonDesigns() []namedDesign {
 	}
 }
 
-// figure14Specs declares every simulation Figure14 (and EnergyTable, which
+// figure14Specs declares every simulation fig14 (and energy, which
 // reuses the identical run set) needs.
-func figure14Specs(r *Runner) []RunSpec {
+func figure14Specs(ws []trace.Workload) []RunSpec {
 	var specs []RunSpec
-	for _, w := range r.Workloads() {
+	for _, w := range ws {
 		specs = append(specs, baselineSpec(w))
 		for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
 			for _, dd := range comparisonDesigns() {
@@ -372,22 +363,20 @@ func figure14Specs(r *Runner) []RunSpec {
 	return specs
 }
 
-// Figure14 regenerates the activation-overhead breakdown: demand and
+// figure14 regenerates the activation-overhead breakdown: demand and
 // mitigative activations relative to the unprotected baseline, averaged
 // over all workloads.
-func Figure14(r *Runner) *Table {
-	r.Prefetch(figure14Specs(r))
+func figure14(r *Runner, ws []trace.Workload) *Table {
 	t := &Table{
 		ID: "fig14", Title: "Relative activations: demand + mitigative (paper Fig. 14)",
 		Header: []string{"Tracker", "Design", "Demand ACTs", "Mitigative ACTs", "Total"},
 	}
-	ws := r.Workloads()
 	for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
 		for _, dd := range comparisonDesigns() {
 			var demand, mitig []float64
 			for _, w := range ws {
-				unprot := r.Baseline(w)
-				res := r.Run(RunSpec{Workload: w, Design: dd.d, Tracker: tracker, DesignTRH: TRH(4000)})
+				unprot := r.result(baselineSpec(w))
+				res := r.result(RunSpec{Workload: w, Design: dd.d, Tracker: tracker, DesignTRH: TRH(4000)})
 				baseActs := float64(unprot.Mem.DemandACTs)
 				if baseActs == 0 {
 					continue
@@ -409,22 +398,20 @@ func Figure14(r *Runner) *Table {
 	return t
 }
 
-// EnergyTable regenerates the Section VI-E energy overheads from the same
+// energyTable regenerates the Section VI-E energy overheads from the same
 // run set as Figure 14.
-func EnergyTable(r *Runner) *Table {
-	r.Prefetch(figure14Specs(r))
+func energyTable(r *Runner, ws []trace.Workload) *Table {
 	t := &Table{
 		ID: "energy", Title: "DRAM energy relative to unprotected baseline (paper Section VI-E)",
 		Header: []string{"Tracker", "Design", "Relative energy", "Activation share"},
 	}
 	model := energy.DefaultModel()
-	ws := r.Workloads()
 	for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
 		for _, dd := range comparisonDesigns() {
 			var rel, share []float64
 			for _, w := range ws {
-				unprot := r.Baseline(w)
-				res := r.Run(RunSpec{Workload: w, Design: dd.d, Tracker: tracker, DesignTRH: TRH(4000)})
+				unprot := r.result(baselineSpec(w))
+				res := r.result(RunSpec{Workload: w, Design: dd.d, Tracker: tracker, DesignTRH: TRH(4000)})
 				baseE := model.Compute(unprot.Mem, dram.Tick(unprot.Cycles*dram.TicksPerCPUCycle), 2)
 				e := model.Compute(res.Mem, dram.Tick(res.Cycles*dram.TicksPerCPUCycle), 2)
 				rel = append(rel, energy.RelativeEnergy(e, baseE))
@@ -443,10 +430,10 @@ func EnergyTable(r *Runner) *Table {
 // fig15TRHs is the Fig. 15 threshold sweep.
 var fig15TRHs = []float64{4000, 2000, 1000}
 
-// figure15Specs declares every simulation Figure15 needs.
-func figure15Specs(r *Runner) []RunSpec {
+// figure15Specs declares every simulation fig15 needs.
+func figure15Specs(ws []trace.Workload) []RunSpec {
 	var specs []RunSpec
-	for _, w := range r.Workloads() {
+	for _, w := range ws {
 		specs = append(specs, baselineSpec(w))
 		for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
 			for _, dd := range comparisonDesigns() {
@@ -459,16 +446,14 @@ func figure15Specs(r *Runner) []RunSpec {
 	return specs
 }
 
-// Figure15 regenerates the threshold-scaling study: Graphene and PARA at
+// figure15 regenerates the threshold-scaling study: Graphene and PARA at
 // TRH in {4K, 2K, 1K} for No-RP, ExPress and ImPress-P, normalized to the
 // unprotected baseline.
-func Figure15(r *Runner) *Table {
-	r.Prefetch(figure15Specs(r))
+func figure15(r *Runner, ws []trace.Workload) *Table {
 	t := &Table{
 		ID: "fig15", Title: "Performance vs TRH, normalized to unprotected (paper Fig. 15)",
 		Header: []string{"Tracker", "Design", "TRH=4K", "TRH=2K", "TRH=1K"},
 	}
-	ws := r.Workloads()
 	for _, tracker := range []sim.TrackerKind{sim.TrackerGraphene, sim.TrackerPARA} {
 		for _, dd := range comparisonDesigns() {
 			row := []string{string(tracker), dd.name}
@@ -477,8 +462,8 @@ func Figure15(r *Runner) *Table {
 				// float summation inside GeoMean across invocations.
 				var all []float64
 				for _, w := range ws {
-					unprot := r.Baseline(w)
-					res := r.Run(RunSpec{Workload: w, Design: dd.d, Tracker: tracker, DesignTRH: TRH(trh)})
+					unprot := r.result(baselineSpec(w))
+					res := r.result(RunSpec{Workload: w, Design: dd.d, Tracker: tracker, DesignTRH: TRH(trh)})
 					all = append(all, res.NormalizeTo(unprot))
 				}
 				row = append(row, f3(stats.GeoMean(all)))
@@ -489,44 +474,4 @@ func Figure15(r *Runner) *Table {
 	t.Notes = append(t.Notes,
 		"paper shape: overheads grow as TRH shrinks; ExPress degrades fastest, ImPress-P tracks No-RP")
 	return t
-}
-
-// allSimSpecs is the union of every simulation-backed experiment's spec
-// list (Prefetch deduplicates the overlap, e.g. shared baselines).
-func allSimSpecs(r *Runner) []RunSpec {
-	var specs []RunSpec
-	specs = append(specs, figure3Specs(r)...)
-	specs = append(specs, figure5Specs(r)...)
-	specs = append(specs, figure13Specs(r)...)
-	specs = append(specs, figure14Specs(r)...)
-	specs = append(specs, figure15Specs(r)...)
-	specs = append(specs, figure16Specs(r)...)
-	return specs
-}
-
-// All returns every experiment in paper order, using runner r for the
-// simulation-backed ones. The full simulation set is prefetched up front
-// so independent runs across figures execute concurrently. All panics on
-// invalid input and cannot be cancelled; it is kept so pre-Lab call
-// sites keep behaving identically. New callers should use AllContext or
-// RunTables (or impress.Lab.Experiments).
-func All(r *Runner) []*Table {
-	tables, err := AllContext(context.Background(), r)
-	if err != nil {
-		panic(err.Error())
-	}
-	return tables
-}
-
-// Analytical returns the experiments that need no performance simulation
-// (fast enough for any environment).
-func Analytical() []*Table {
-	return []*Table{
-		TableI(), TableII(), TableIII(),
-		Figure4(), Figure6(), Figure7(), Figure8(),
-		ImpressNWorstCase(), Figure12(),
-		Figure18(), Figure19(),
-		StorageTable(), SecuritySummary(),
-		PRACTable(), RelatedWorkDSAC(), AblationRFMPacing(),
-	}
 }

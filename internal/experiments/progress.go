@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"impress/internal/resultstore"
-)
+import "fmt"
 
 // ProgressKind enumerates run-lifecycle events (DESIGN.md §9).
 type ProgressKind int
@@ -21,13 +17,14 @@ const (
 	// the event carries the simulated cycle count.
 	ProgressSpecFinished
 	// ProgressTableRendered fires when one experiment table has been
-	// assembled (context-aware entry points only).
+	// assembled by RunTables.
 	ProgressTableRendered
 	// ProgressAttackStarted fires when a distinct security-harness
-	// attack spec enters evaluation (Runner.Attack). Attack events use
-	// their own kinds because harness evaluations are not performance
-	// simulations: consumers counting simulated specs (the CLI summary
-	// lines, labd's per-job counters) must not conflate the two.
+	// attack spec enters evaluation (Runner.EvaluateAttacks). Attack
+	// events use their own kinds because harness evaluations are not
+	// performance simulations: consumers counting simulated specs (the
+	// CLI summary lines, labd's per-job counters) must not conflate the
+	// two.
 	ProgressAttackStarted
 	// ProgressAttackCacheHit fires when the attack spec resolves from
 	// the persistent result store without evaluating.
@@ -64,7 +61,7 @@ func (k ProgressKind) String() string {
 // exactly one of ProgressSpecCacheHit or ProgressSpecFinished, so at any
 // parallelism started == cache-hit + finished once the sweep completes;
 // at Parallelism 1 the full event sequence is deterministic. Security-
-// harness evaluations (Runner.Attack) follow the same started →
+// harness evaluations (Runner.EvaluateAttacks) follow the same started →
 // cache-hit|finished lifecycle under the separate ProgressAttack*
 // kinds, so simulation counters stay honest. The stream replaces
 // scraping stderr for the old ad-hoc cache accounting prints.
@@ -99,17 +96,18 @@ func (p Progress) String() string {
 	}
 }
 
-// specLabel renders the canonical human label for a spec's progress
-// events.
-func specLabel(sp resultstore.Spec) string {
-	return fmt.Sprintf("%s/%s/%s", sp.Workload, sp.Design.Name(), sp.Tracker)
-}
-
-// emit delivers one progress event. Callbacks are serialized under a
-// dedicated mutex, so a Progress func attached to a concurrent sweep
-// needs no locking of its own; delivery order of events from different
-// specs is scheduling-dependent above Parallelism 1.
+// emit delivers one progress event, counting finished executions for
+// Sims and AttackSims. Callbacks are serialized under a dedicated mutex,
+// so a Progress func attached to a concurrent sweep needs no locking of
+// its own; delivery order of events from different specs is
+// scheduling-dependent above Parallelism 1.
 func (r *Runner) emit(p Progress) {
+	switch p.Kind {
+	case ProgressSpecFinished:
+		r.sims.Add(1)
+	case ProgressAttackFinished:
+		r.atkSims.Add(1)
+	}
 	if r.Progress == nil {
 		return
 	}

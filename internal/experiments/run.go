@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"impress/internal/errs"
+	"impress/internal/trace"
 )
 
 // Definition describes one runnable experiment: its CLI/-only ID,
@@ -17,50 +18,68 @@ type Definition struct {
 	// Analytical marks experiments that need no performance simulation
 	// (model arithmetic and the single-bank security harness only).
 	Analytical bool
-	// Build assembles the table, using r for simulation-backed runs.
-	Build func(r *Runner) *Table
-	// Specs declares every simulation Build needs (nil for analytical
-	// experiments). SpecsFor unions them so sweep services can shard a
-	// job's exact simulation universe before assembling any table.
-	Specs func(r *Runner) []RunSpec
+	// Build assembles the table under ctx. A simulation-backed Build
+	// first executes its declared Specs through r, then assembles from
+	// the runner's memo; the others compute directly, honoring ctx in
+	// the security harness.
+	Build func(ctx context.Context, r *Runner) (*Table, error)
+	// Specs declares every simulation Build needs for the scale's
+	// workloads (nil for analytical experiments). SpecsFor unions them
+	// so sweep services can shard a job's exact simulation universe
+	// before assembling any table.
+	Specs func(ws []trace.Workload) []RunSpec
 }
 
 // Definitions returns every experiment in paper order — the single
-// registry behind All, RunTables and the impress-experiments CLI.
+// registry behind RunTables, SpecsFor and the impress-experiments CLI.
 func Definitions() []Definition {
 	a := func(id string, build func() *Table) Definition {
-		return Definition{ID: id, Analytical: true, Build: func(*Runner) *Table { return build() }}
+		return Definition{ID: id, Analytical: true,
+			Build: func(context.Context, *Runner) (*Table, error) { return build(), nil }}
 	}
-	s := func(id string, build func(*Runner) *Table, specs func(*Runner) []RunSpec) Definition {
-		return Definition{ID: id, Build: build, Specs: specs}
+	h := func(id string, build func(context.Context) (*Table, error)) Definition {
+		return Definition{ID: id, Analytical: true,
+			Build: func(ctx context.Context, _ *Runner) (*Table, error) { return build(ctx) }}
+	}
+	s := func(id string, specs func([]trace.Workload) []RunSpec, assemble func(*Runner, []trace.Workload) *Table) Definition {
+		return Definition{ID: id, Specs: specs, Build: func(ctx context.Context, r *Runner) (*Table, error) {
+			ws, err := r.Workloads()
+			if err != nil {
+				return nil, err
+			}
+			if err := r.Prefetch(ctx, specs(ws)); err != nil {
+				return nil, err
+			}
+			return assemble(r, ws), nil
+		}}
 	}
 	return []Definition{
 		a("table1", TableI),
 		a("table2", TableII),
-		s("fig3", Figure3, figure3Specs),
+		s("fig3", figure3Specs, figure3),
 		a("fig4", Figure4),
-		s("fig5", Figure5, figure5Specs),
+		s("fig5", figure5Specs, figure5),
 		a("fig6", Figure6),
 		a("fig7", Figure7),
 		a("fig8", Figure8),
-		a("eq5", ImpressNWorstCase),
+		h("eq5", ImpressNWorstCase),
 		a("fig12", Figure12),
-		s("fig13", Figure13, figure13Specs),
+		s("fig13", figure13Specs, figure13),
 		a("table3", TableIII),
-		s("fig14", Figure14, figure14Specs),
-		s("energy", EnergyTable, figure14Specs),
-		s("fig15", Figure15, figure15Specs),
-		s("fig16", Figure16, figure16Specs),
-		a("fig18", Figure18),
+		s("fig14", figure14Specs, figure14),
+		s("energy", figure14Specs, energyTable),
+		s("fig15", figure15Specs, figure15),
+		s("fig16", figure16Specs, figure16),
+		h("fig18", Figure18),
 		a("fig19", Figure19),
 		a("storage", StorageTable),
-		a("security", SecuritySummary),
-		a("prac", PRACTable),
+		h("security", SecuritySummary),
+		h("prac", PRACTable),
 		a("dsac", RelatedWorkDSAC),
 		// ablation-rfm is analytical (single-bank security harness, no
 		// performance simulation) but honors the runner's parallelism.
-		{ID: "ablation-rfm", Analytical: true, Build: func(r *Runner) *Table {
-			return AblationRFMPacingParallel(r.parallelism())
+		{ID: "ablation-rfm", Analytical: true, Build: func(ctx context.Context, r *Runner) (*Table, error) {
+			return AblationRFMPacing(ctx, r.parallelism())
 		}},
 		// attackzoo is likewise analytical (harness only) but uses the
 		// runner for its parallelism and its attack-evaluation cache.
@@ -91,48 +110,46 @@ type RunOptions struct {
 	OnTable func(*Table)
 }
 
-// RunTables assembles the selected experiment tables under a context —
-// the package's context-aware boundary. Everything the historical
-// panicking call tree rejects surfaces here as a typed error instead:
-// an unknown experiment ID or unresolvable scale workload (wrapping
-// errs.ErrBadSpec / errs.ErrUnknownWorkload), a simulation rejecting its
-// config, and cancellation (matching errs.ErrCancelled and ctx.Err(),
-// honored within one simulation macro cycle and between tables).
-// Completed simulations stay memoized — and persistently stored with a
-// Store attached — so a cancelled sweep rerun resumes warm. Internal
-// invariant panics still propagate.
-func RunTables(ctx context.Context, r *Runner, opts RunOptions) (tables []*Table, err error) {
+// RunTables assembles the selected experiment tables under a context.
+// Caller-input failures surface as typed errors before any simulation
+// starts: an unknown experiment ID (errs.ErrBadSpec) or an unresolvable
+// scale workload (errs.ErrUnknownWorkload). A simulation rejecting its
+// config and cancellation (matching errs.ErrCancelled and ctx.Err(),
+// honored within one simulation macro cycle and between tables) return
+// as errors too. Completed simulations stay memoized — and persistently
+// stored with a Store attached — so a cancelled sweep rerun resumes
+// warm. Internal invariant panics still propagate.
+func RunTables(ctx context.Context, r *Runner, opts RunOptions) ([]*Table, error) {
 	selected, err := selectDefs(opts)
 	if err != nil {
 		return nil, err
 	}
-
-	defer r.bind(ctx)()
-	defer func() {
-		if p := recover(); p != nil {
-			if a, ok := p.(*runAbort); ok {
-				tables, err = nil, a.err
-				return
-			}
-			panic(p)
-		}
-	}()
-
-	// A batch full sweep prefetches the union up front so independent
-	// runs across figures execute concurrently (the historical All
-	// behavior). Streaming callers (OnTable) want completed tables
-	// incrementally, so each figure prefetches its own set lazily
-	// instead — the memo still deduplicates cross-figure overlap, and
-	// output is byte-identical either way. Filtered runs are always
-	// lazy.
-	if len(opts.Only) == 0 && !opts.Analytical && opts.OnTable == nil {
-		r.Prefetch(allSimSpecs(r))
+	ws, universe, err := declared(r, selected)
+	if err != nil {
+		return nil, err
 	}
+	// A batch full sweep prefetches the union up front so independent
+	// runs across figures execute concurrently. Streaming callers
+	// (OnTable) want completed tables incrementally, so each figure
+	// executes its own set as it is built instead — the memo still
+	// deduplicates cross-figure overlap, and output is byte-identical
+	// either way. Filtered runs are always incremental.
+	if len(opts.Only) == 0 && !opts.Analytical && opts.OnTable == nil {
+		if err := r.Prefetch(ctx, universe); err != nil {
+			return nil, err
+		}
+	}
+	var tables []*Table
 	for _, d := range selected {
-		r.checkCtx()
-		t := d.Build(r)
+		if err := ctx.Err(); err != nil {
+			return nil, stopped(err)
+		}
+		t, err := d.Build(ctx, r)
+		if err != nil {
+			return nil, err
+		}
 		if r.AnnotateCI && d.Specs != nil {
-			annotateCI(r, d, t)
+			annotateCI(r, d.Specs(ws), t)
 		}
 		r.emit(Progress{Kind: ProgressTableRendered, Table: t.ID})
 		if opts.OnTable != nil {
@@ -182,6 +199,29 @@ func selectDefs(opts RunOptions) ([]Definition, error) {
 	return selected, nil
 }
 
+// declared resolves the scale's workloads and returns them with every
+// simulation spec the selected definitions declare, in declaration
+// order with repeats (Prefetch and SpecsFor deduplicate). A selection
+// without simulation-backed experiments resolves nothing, so an
+// analytical sweep never fails on the scale's workload list.
+func declared(r *Runner, selected []Definition) ([]trace.Workload, []RunSpec, error) {
+	var ws []trace.Workload
+	var specs []RunSpec
+	for _, d := range selected {
+		if d.Specs == nil {
+			continue
+		}
+		if ws == nil {
+			var err error
+			if ws, err = r.Workloads(); err != nil {
+				return nil, nil, err
+			}
+		}
+		specs = append(specs, d.Specs(ws)...)
+	}
+	return ws, specs, nil
+}
+
 // SpecsFor returns the deduplicated union of the simulation specs the
 // experiments selected by opts need — the exact universe a sweep
 // service shards across its worker fleet before assembling any table
@@ -190,57 +230,30 @@ func selectDefs(opts RunOptions) ([]Definition, error) {
 // node computes the same list. Unknown IDs, selection conflicts and
 // unresolvable scale workloads surface as typed errors (errs.ErrBadSpec,
 // errs.ErrUnknownWorkload) exactly as RunTables would report them.
-func SpecsFor(r *Runner, opts RunOptions) (specs []RunSpec, err error) {
+func SpecsFor(r *Runner, opts RunOptions) ([]RunSpec, error) {
 	selected, err := selectDefs(opts)
 	if err != nil {
 		return nil, err
 	}
-	// Workload resolution (r.Workloads inside the Specs funcs) reports
-	// scale typos through the historical runAbort panic; recover it
-	// into the typed error here like the other context-aware
-	// boundaries.
-	defer func() {
-		if p := recover(); p != nil {
-			if a, ok := p.(*runAbort); ok {
-				specs, err = nil, a.err
-				return
-			}
-			panic(p)
-		}
-	}()
-	seen := make(map[string]bool)
-	for _, d := range selected {
-		if d.Specs == nil || opts.Analytical {
-			continue
-		}
-		for _, s := range d.Specs(r) {
-			if k := string(r.storeSpec(s).Key()); !seen[k] {
-				seen[k] = true
-				specs = append(specs, s)
-			}
-		}
+	_, specs, err := declared(r, selected)
+	if err != nil {
+		return nil, err
 	}
-	return specs, nil
+	return unique(specs, r.key), nil
 }
 
 // annotateCI appends a confidence-interval summary note to a
 // simulation-backed table assembled from sampled runs: the worst
 // (largest) 95% relative half-width over the table's spec universe for
-// each tracked metric, plus the early-stop count. Every spec is memoized
-// by the Build that just ran, so the Run calls here are pure memo hits.
-// Exact-mode results carry no estimates and contribute nothing, which
-// keeps default-mode table output byte-identical even with the flag set.
-func annotateCI(r *Runner, d Definition, t *Table) {
-	seen := make(map[string]bool)
+// each tracked metric, plus the early-stop count. Every spec was
+// executed by the Build that just ran, so these are memo reads. Exact-
+// mode results carry no estimates and contribute nothing, which keeps
+// default-mode table output byte-identical even with the flag set.
+func annotateCI(r *Runner, specs []RunSpec, t *Table) {
 	var n, early int
 	var worstIPC, worstACT float64
-	for _, s := range d.Specs(r) {
-		k := string(r.storeSpec(s).Key())
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		est := r.Run(s).Estimates
+	for _, s := range unique(specs, r.key) {
+		est := r.result(s).Estimates
 		if est == nil {
 			continue
 		}
@@ -261,10 +274,4 @@ func annotateCI(r *Runner, d Definition, t *Table) {
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"sampled estimates, 95%% CI: worst rel. half-width IPC %.2f%%, ACTs %.2f%% across %d runs (%d early-stopped)",
 		100*worstIPC, 100*worstACT, n, early))
-}
-
-// AllContext regenerates every table and figure under a context; see
-// RunTables for the error and cancellation contract.
-func AllContext(ctx context.Context, r *Runner) ([]*Table, error) {
-	return RunTables(ctx, r, RunOptions{})
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -19,11 +20,26 @@ func openStore(t *testing.T, dir string) *resultstore.Store {
 	return st
 }
 
-// renderFig3 runs Figure3 through r and returns its rendering.
-func renderFig3(r *Runner) []byte {
+// renderFig3 builds fig3 through r and returns its rendering.
+func renderFig3(t *testing.T, r *Runner) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	Figure3(r).Render(&buf)
+	build(t, "fig3", r).Render(&buf)
 	return buf.Bytes()
+}
+
+// allSpecs is every simulation-backed experiment's declared specs, in
+// registry order with repeats — the raw universe SpecsFor deduplicates.
+func allSpecs(t *testing.T, r *Runner) []RunSpec {
+	t.Helper()
+	ws := workloads(t, r)
+	var specs []RunSpec
+	for _, d := range Definitions() {
+		if d.Specs != nil {
+			specs = append(specs, d.Specs(ws)...)
+		}
+	}
+	return specs
 }
 
 // TestWarmStoreServesIdenticalTablesWithZeroSims is the acceptance
@@ -35,14 +51,14 @@ func TestWarmStoreServesIdenticalTablesWithZeroSims(t *testing.T) {
 
 	cold := NewRunner(tinyScale())
 	cold.Store = openStore(t, dir)
-	coldTable := renderFig3(cold)
+	coldTable := renderFig3(t, cold)
 	if cold.Sims() == 0 {
 		t.Fatal("cold run must simulate")
 	}
 
 	warm := NewRunner(tinyScale())
 	warm.Store = openStore(t, dir)
-	warmTable := renderFig3(warm)
+	warmTable := renderFig3(t, warm)
 	if warm.Sims() != 0 {
 		t.Fatalf("warm run executed %d simulations; every result should come from the store", warm.Sims())
 	}
@@ -55,17 +71,17 @@ func TestWarmStoreServesIdenticalTablesWithZeroSims(t *testing.T) {
 
 	// And an uncached runner agrees, so the store changed nothing.
 	direct := NewRunner(tinyScale())
-	if !bytes.Equal(renderFig3(direct), coldTable) {
+	if !bytes.Equal(renderFig3(t, direct), coldTable) {
 		t.Fatal("cached rendering differs from an uncached run")
 	}
 }
 
-// TestShardPartitionIsExactCover checks the Shard contract for several
-// shard counts: shards are pairwise disjoint and together cover the
-// deduplicated spec universe exactly.
+// TestShardPartitionIsExactCover checks the ShardSpecs contract for
+// several shard counts: shards are pairwise disjoint and together cover
+// the deduplicated spec universe exactly.
 func TestShardPartitionIsExactCover(t *testing.T) {
 	r := NewRunner(QuickScale())
-	specs := allSimSpecs(r)
+	specs := allSpecs(t, r)
 	whole := map[string]bool{}
 	for _, s := range specs {
 		whole[string(r.storeSpec(s).Key())] = true
@@ -74,7 +90,10 @@ func TestShardPartitionIsExactCover(t *testing.T) {
 		covered := map[string]int{}
 		total := 0
 		for i := 1; i <= n; i++ {
-			shard := r.Shard(specs, i, n)
+			shard, err := r.ShardSpecs(specs, i, n)
+			if err != nil {
+				t.Fatal(err)
+			}
 			total += len(shard)
 			for _, s := range shard {
 				covered[string(r.storeSpec(s).Key())]++
@@ -94,20 +113,6 @@ func TestShardPartitionIsExactCover(t *testing.T) {
 	}
 	if r.Sims() != 0 {
 		t.Fatalf("partitioning must not simulate (ran %d)", r.Sims())
-	}
-}
-
-func TestShardRejectsBadIndices(t *testing.T) {
-	r := NewRunner(tinyScale())
-	for _, bad := range [][2]int{{0, 2}, {3, 2}, {1, 0}, {-1, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Shard(%d, %d) must panic", bad[0], bad[1])
-				}
-			}()
-			r.Shard(nil, bad[0], bad[1])
-		}()
 	}
 }
 
@@ -149,7 +154,7 @@ func TestSpecsForMatchesSweepUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := keysOf(allSimSpecs(r))
+	want := keysOf(allSpecs(t, r))
 	if got := keysOf(full); len(got) != len(want) || len(full) != len(want) {
 		t.Fatalf("SpecsFor(all) has %d specs (%d distinct), want the %d-spec deduplicated universe",
 			len(full), len(got), len(want))
@@ -159,7 +164,7 @@ func TestSpecsForMatchesSweepUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := keysOf(fig3), keysOf(figure3Specs(r)); len(got) != len(want) {
+	if got, want := keysOf(fig3), keysOf(figure3Specs(workloads(t, r))); len(got) != len(want) {
 		t.Fatalf("SpecsFor(fig3) covers %d distinct specs, want %d", len(got), len(want))
 	}
 
@@ -203,18 +208,24 @@ func TestShardedSweepMergesThroughStore(t *testing.T) {
 	scale := tinyScale()
 
 	reference := NewRunner(scale)
-	want := renderFig3(reference)
+	want := renderFig3(t, reference)
 
-	specs := figure3Specs(NewRunner(scale))
+	specs := figure3Specs(workloads(t, NewRunner(scale)))
 	for i := 1; i <= 2; i++ {
 		shardRunner := NewRunner(scale)
 		shardRunner.Store = openStore(t, dir)
-		shardRunner.Prefetch(shardRunner.Shard(specs, i, 2))
+		shard, err := shardRunner.ShardSpecs(specs, i, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := shardRunner.Prefetch(context.Background(), shard); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	merge := NewRunner(scale)
 	merge.Store = openStore(t, dir)
-	if got := renderFig3(merge); !bytes.Equal(got, want) {
+	if got := renderFig3(t, merge); !bytes.Equal(got, want) {
 		t.Fatal("merged rendering differs from the single-process run")
 	}
 	if merge.Sims() != 0 {

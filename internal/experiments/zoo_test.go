@@ -38,7 +38,7 @@ func TestTrackerZooExhaustive(t *testing.T) {
 		return m
 	}
 	storage := rowTrackers(StorageTable())
-	security := rowTrackers(SecuritySummary())
+	security := rowTrackers(build(t, "security", nil))
 
 	w, err := trace.WorkloadByName("gcc")
 	if err != nil {

@@ -193,7 +193,7 @@ func (s *Server) logf(format string, args ...any) {
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for t := range s.queue {
-		if err := t.j.runner.PrefetchContext(t.j.ctx, t.specs); err != nil {
+		if err := t.j.runner.Prefetch(t.j.ctx, t.specs); err != nil {
 			t.j.recordErr(err)
 		}
 		t.j.pending.Done()

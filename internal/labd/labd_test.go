@@ -135,8 +135,7 @@ func TestHubTruncatedHistoryFlagsLag(t *testing.T) {
 
 // TestSubmitRejectsBadRequests pins the API boundary: every malformed
 // submission is a typed 400 — reconstructed client-side as ErrBadSpec
-// — and none of them may reach the queue, let alone kill the daemon
-// (the old Runner.Shard would have panicked on the bad shard count).
+// — and none of them may reach the queue, let alone kill the daemon.
 func TestSubmitRejectsBadRequests(t *testing.T) {
 	srv, c := newTestDaemon(t, Config{})
 	ctx := context.Background()

@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -160,6 +161,16 @@ func simConfig(t *testing.T) sim.Config {
 	return cfg
 }
 
+// mustSim simulates cfg, failing the test on an error.
+func mustSim(t *testing.T, cfg sim.Config) sim.Result {
+	t.Helper()
+	res, err := sim.RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestAttachCheckpointsColdThenWarm drives the full warmup-reuse cycle
 // through real simulations: a cold run publishes its checkpoint to the
 // store, and a second spec sharing the warmup prefix — here a different
@@ -178,21 +189,21 @@ func TestAttachCheckpointsColdThenWarm(t *testing.T) {
 	if cold.OnCheckpoint == nil {
 		t.Fatal("a cold attach must install the checkpoint publisher")
 	}
-	sim.Run(cold)
+	mustSim(t, cold)
 	if c := st.Counters(); c.CheckpointWrites != 1 {
 		t.Fatalf("the cold run must have published its checkpoint: %+v", c)
 	}
 
 	warm := simConfig(t)
 	warm.RunInstructions *= 2 // a different spec, same warmup prefix
-	reference := sim.Run(warm)
+	reference := mustSim(t, warm)
 	if restored := st.AttachCheckpoints(&warm); !restored {
 		t.Fatal("the second spec must restore the stored warmup checkpoint")
 	}
 	if warm.RestoreCheckpoint == nil || warm.OnCheckpoint != nil {
 		t.Fatalf("a warm attach must install only the restore payload")
 	}
-	got := sim.Run(warm)
+	got := mustSim(t, warm)
 	if !reflect.DeepEqual(got, reference) {
 		t.Fatalf("restored run diverged from straight-through:\nrestored %+v\nstraight %+v", got, reference)
 	}

@@ -29,11 +29,11 @@ func TestAblationRFMPacingOnEACT(t *testing.T) {
 		return &attack.RowPress{Row: 1 << 20, TON: tm.TONMax, Timings: tm}
 	}
 
-	paced := Run(base, pattern())
+	paced := run(t, base, pattern())
 	ablated := base
 	ablated.RFMPaceOnRawACTs = true
 	ablated.Tracker = mintFactory(80, 31)
-	raw := Run(ablated, pattern())
+	raw := run(t, ablated, pattern())
 
 	if paced.MaxDamage >= mintTRH {
 		t.Fatalf("EACT-paced RFM should contain the attack: %v", paced.MaxDamage)
@@ -60,19 +60,19 @@ func TestPRACWithImpressP(t *testing.T) {
 		Design: core.NewDesign(core.NoRP), DesignTRH: designTRH,
 		AlphaTrue: clm.AlphaLongDuration, RFMTH: 80, Tracker: pracFactory,
 	}
-	broken := Run(noRP, pattern())
+	broken := run(t, noRP, pattern())
 	if broken.MaxDamage < designTRH {
 		t.Fatalf("plain PRAC should be broken by Row-Press: %v", broken.MaxDamage)
 	}
 
 	withP := noRP
 	withP.Design = core.NewDesign(core.ImpressP)
-	fixed := Run(withP, pattern())
+	fixed := run(t, withP, pattern())
 	if fixed.MaxDamage >= designTRH {
 		t.Fatalf("PRAC + ImPress-P should contain Row-Press: %v", fixed.MaxDamage)
 	}
 	// PRAC is also secure against classic Rowhammer in both modes.
-	rh := Run(withP, &attack.Rowhammer{Row: 1 << 20, Timings: tm})
+	rh := run(t, withP, &attack.Rowhammer{Row: 1 << 20, Timings: tm})
 	if rh.MaxDamage >= designTRH {
 		t.Fatalf("PRAC + ImPress-P broken by RH: %v", rh.MaxDamage)
 	}

@@ -34,7 +34,7 @@ func benchHarness(b *testing.B, tracker TrackerFactory, pattern func(dram.Timing
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Run(cfg, pattern(cfg.Design.Timings))
+		run(b, cfg, pattern(cfg.Design.Timings))
 	}
 }
 
@@ -76,7 +76,7 @@ func TestHarnessAllocationsIndependentOfLength(t *testing.T) {
 			Duration: accesses * tm.TRC,
 		}
 		return testing.AllocsPerRun(3, func() {
-			Run(cfg, &attack.Decoy{Row: 1 << 20, DecoyRow: 1 << 24, Spread: 1024, Timings: tm})
+			run(t, cfg, &attack.Decoy{Row: 1 << 20, DecoyRow: 1 << 24, Spread: 1024, Timings: tm})
 		})
 	}
 	n, n4 := allocs(20000), allocs(80000)

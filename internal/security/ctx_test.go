@@ -19,17 +19,20 @@ func ctxTestConfig() Config {
 	}
 }
 
-// TestRunContextMatchesRun pins that the context path is the same
-// harness: identical results under an uncancellable context.
+// TestRunContextMatchesRun pins that cancellation polling is invisible:
+// the harness under a live, cancellable context returns exactly what the
+// uncancellable run returns.
 func TestRunContextMatchesRun(t *testing.T) {
 	tm := dram.DDR5()
 	p := func() attack.Pattern { return &attack.Rowhammer{Row: 1 << 20, Timings: tm} }
-	got, err := RunContext(context.Background(), ctxTestConfig(), p())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := RunContext(ctx, ctxTestConfig(), p())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := Run(ctxTestConfig(), p()); got != want {
-		t.Fatalf("RunContext diverged from Run:\n got %+v\nwant %+v", got, want)
+	if want := run(t, ctxTestConfig(), p()); got != want {
+		t.Fatalf("cancellable run diverged from the uncancellable one:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -46,7 +49,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 }
 
 // TestValidateTypedErrors: invalid configs are ErrBadSpec through both
-// Validate and RunContext; the deprecated Run still panics.
+// Validate and RunContext.
 func TestValidateTypedErrors(t *testing.T) {
 	tm := dram.DDR5()
 	cfg := ctxTestConfig()
@@ -57,10 +60,4 @@ func TestValidateTypedErrors(t *testing.T) {
 	if _, err := RunContext(context.Background(), cfg, &attack.Rowhammer{Row: 1, Timings: tm}); !errors.Is(err, errs.ErrBadSpec) {
 		t.Fatalf("RunContext() = %v, want ErrBadSpec", err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Run with a missing tracker factory did not panic")
-		}
-	}()
-	Run(cfg, &attack.Rowhammer{Row: 1, Timings: tm})
 }

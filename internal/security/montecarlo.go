@@ -1,6 +1,8 @@
 package security
 
 import (
+	"context"
+
 	"impress/internal/attack"
 	"impress/internal/stats"
 )
@@ -39,7 +41,7 @@ func (m MonteCarloResult) DamagePercentile(p float64) float64 {
 // MonteCarlo runs trials independent harness runs with decorrelated
 // tracker seeds and a fresh pattern per trial, recording the peak-damage
 // distribution. newPattern must return a fresh, stateless-from-start
-// pattern each call.
+// pattern each call. MonteCarlo panics on an invalid configuration.
 func MonteCarlo(cfg Config, newPattern func() attack.Pattern,
 	newTracker SeededTrackerFactory, trials int, baseSeed uint64) MonteCarloResult {
 	if trials <= 0 {
@@ -50,7 +52,10 @@ func MonteCarlo(cfg Config, newPattern func() attack.Pattern,
 	for i := 0; i < trials; i++ {
 		trialCfg := cfg
 		trialCfg.Tracker = newTracker(cfg.Design.TrackerTRH(cfg.DesignTRH), seeds.Uint64())
-		r := Run(trialCfg, newPattern())
+		r, err := RunContext(context.Background(), trialCfg, newPattern())
+		if err != nil {
+			panic(err.Error())
+		}
 		res.Damages = append(res.Damages, r.MaxDamage)
 		if r.MaxDamage > res.MaxDamage {
 			res.MaxDamage = r.MaxDamage

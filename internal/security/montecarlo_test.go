@@ -112,7 +112,7 @@ func TestManySidedContainedByProvisioning(t *testing.T) {
 		AlphaTrue: clm.AlphaLongDuration,
 		Tracker:   grapheneFactory(),
 	}
-	res := Run(cfg, &attack.ManySided{Rows: rows, Timings: tm})
+	res := run(t, cfg, &attack.ManySided{Rows: rows, Timings: tm})
 	if res.MaxDamage >= designTRH {
 		t.Fatalf("many-sided spread breached Graphene: %v", res.MaxDamage)
 	}

@@ -1,6 +1,7 @@
 package security
 
 import (
+	"context"
 	"fmt"
 
 	"impress/internal/attack"
@@ -64,11 +65,15 @@ func candidatePatterns(t dram.Timings) []func() attack.Pattern {
 // SearchWorstCase evaluates the full strategy grid against cfg and returns
 // the maximizing pattern. Probabilistic trackers should be given a fresh
 // deterministic seed per run via cfg.Tracker (the factory is re-invoked
-// for every strategy).
+// for every strategy). SearchWorstCase panics on an invalid
+// configuration.
 func SearchWorstCase(cfg Config) SearchResult {
 	var sr SearchResult
 	for _, mk := range candidatePatterns(cfg.Design.Timings) {
-		res := Run(cfg, mk())
+		res, err := RunContext(context.Background(), cfg, mk())
+		if err != nil {
+			panic(err.Error())
+		}
 		sr.All = append(sr.All, res)
 		if res.MaxDamage > sr.BestResult.MaxDamage {
 			sr.BestResult = res

@@ -1,6 +1,7 @@
 package security
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -34,9 +35,15 @@ func mintFactory(rfmth int, seed uint64) TrackerFactory {
 	}
 }
 
-func run(t *testing.T, cfg Config, p attack.Pattern) Result {
-	t.Helper()
-	return Run(cfg, p)
+// run replays p against cfg under an uncancellable context, failing the
+// test on an error.
+func run(tb testing.TB, cfg Config, p attack.Pattern) Result {
+	tb.Helper()
+	res, err := RunContext(context.Background(), cfg, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
 }
 
 // --- Headline motivation: Rowhammer defenses are secure against RH but
@@ -312,7 +319,7 @@ func TestHarnessDeterminism(t *testing.T) {
 			AlphaTrue: 1, Tracker: paraFactory(99),
 			Duration: tm.TREFW / 8,
 		}
-		return Run(cfg, &attack.RowPress{Row: 5, TON: 4 * tm.TRC, Timings: tm})
+		return run(t, cfg, &attack.RowPress{Row: 5, TON: 4 * tm.TRC, Timings: tm})
 	}
 	a, b := mk(), mk()
 	if a != b {

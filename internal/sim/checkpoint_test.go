@@ -48,7 +48,7 @@ func capture(t *testing.T, cfg Config) (Result, []byte) {
 	t.Helper()
 	var data []byte
 	cfg.OnCheckpoint = func(b []byte) { data = b }
-	res := Run(cfg)
+	res := mustRun(t, cfg)
 	if data == nil {
 		t.Fatalf("%s/%s: no checkpoint was captured", cfg.Workload.Name, cfg.Tracker)
 	}
@@ -65,7 +65,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	modes := []ClockMode{ClockEventDriven, ClockCycleAccurate, ClockLockstep}
 	for _, tc := range checkpointCases {
 		cfg := checkpointConfig(t, tc.workload, tc.kind, tc.tracker, tc.trh)
-		straight := Run(cfg)
+		straight := mustRun(t, cfg)
 		captured, data := capture(t, cfg)
 		if !reflect.DeepEqual(straight, captured) {
 			t.Errorf("%s/%v/%s: capturing a checkpoint perturbed the run:\nplain    %+v\ncaptured %+v",
@@ -76,7 +76,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 			mcfg := cfg
 			mcfg.Clock = mode
 			mcfg.RestoreCheckpoint = data
-			restored := Run(mcfg)
+			restored := mustRun(t, mcfg)
 			if !reflect.DeepEqual(straight, restored) {
 				t.Errorf("%s/%v/%s clock=%d: restored run diverged from straight-through:\nstraight %+v\nrestored %+v",
 					tc.workload, tc.kind, tc.tracker, mode, straight, restored)
@@ -167,7 +167,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	cfg.RunInstructions = 2_000
 	var valid []byte
 	cfg.OnCheckpoint = func(b []byte) { valid = b }
-	Run(cfg)
+	mustRun(f, cfg)
 	if valid == nil {
 		f.Fatal("no checkpoint was captured for the seed corpus")
 	}

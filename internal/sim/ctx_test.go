@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -25,16 +24,20 @@ func tinyCtxConfig(t *testing.T, name string) Config {
 	return cfg
 }
 
-// TestRunContextMatchesRun pins the compatibility contract: RunContext
-// under an uncancellable context is bit-identical to the deprecated Run.
+// TestRunContextMatchesRun pins that cancellation polling is invisible:
+// a run under a live, cancellable context — which polls its done channel
+// every macro cycle — is bit-identical to the uncancellable run, which
+// skips the poll.
 func TestRunContextMatchesRun(t *testing.T) {
 	cfg := tinyCtxConfig(t, "gcc")
-	got, err := RunContext(context.Background(), cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := RunContext(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := Run(cfg); !resultsEqual(got, want) {
-		t.Fatalf("RunContext diverged from Run:\n got %+v\nwant %+v", got, want)
+	if want := mustRun(t, cfg); !resultsEqual(got, want) {
+		t.Fatalf("cancellable run diverged from the uncancellable one:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -163,19 +166,4 @@ func TestRunContextBadTraceFile(t *testing.T) {
 	if _, err := RunContext(context.Background(), cfg); !errors.Is(err, errs.ErrBadSpec) {
 		t.Fatalf("missing trace file: %v, want ErrBadSpec", err)
 	}
-}
-
-// TestRunStillPanicsOnBadInput pins the deprecated wrapper's behavior:
-// pre-Lab call sites relied on the panic.
-func TestRunStillPanicsOnBadInput(t *testing.T) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("Run with an invalid config did not panic")
-		}
-		if msg, ok := p.(string); !ok || !strings.Contains(msg, "sim:") {
-			t.Fatalf("Run panicked with %v; want the sim error string", p)
-		}
-	}()
-	Run(Config{Cores: 0})
 }

@@ -93,9 +93,9 @@ func TestSampledErrorBounds(t *testing.T) {
 		tc := sampledCases[i]
 		name := fmt.Sprintf("%s/%v/%s", tc.workload, tc.kind, tc.tracker)
 		cfg := sampledConfig(t, tc.workload, tc.kind, tc.tracker)
-		exact := Run(cfg)
+		exact := mustRun(t, cfg)
 		cfg.Clock = ClockSampled
-		sampled := Run(cfg)
+		sampled := mustRun(t, cfg)
 
 		est := sampled.Estimates
 		if est == nil {
@@ -133,7 +133,7 @@ func TestSampledEarlyStop(t *testing.T) {
 	cfg := sampledConfig(t, "gcc", core.NoRP, TrackerNone)
 	cfg.Clock = ClockSampled
 	cfg.MaxRelError = 0.5
-	res := Run(cfg)
+	res := mustRun(t, cfg)
 	est := res.Estimates
 	if est == nil {
 		t.Fatal("sampled run reports no estimates")

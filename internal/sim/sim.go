@@ -236,28 +236,6 @@ func (r Result) NormalizeTo(baseline Result) float64 {
 	return stats.NormalizedWeightedSpeedup(r.IPC, baseline.IPC)
 }
 
-// Run executes the simulation. It panics on invalid input and cannot be
-// cancelled; it is kept so pre-Lab call sites keep compiling and behaving
-// bit-identically. New callers should use RunContext (or impress.Lab.Run),
-// which returns typed errors and honors context cancellation.
-//
-// Run is safe for concurrent use: every call builds a private simulator —
-// its own RNG chain seeded from cfg.Seed, trace generators, cores, LLC
-// and memory controller — and the package keeps no mutable global state.
-// Results depend only on cfg, never on what other goroutines are doing,
-// which is what lets the experiment runner (internal/experiments) fan
-// independent runs out over a worker pool while remaining bit-for-bit
-// deterministic. The Config value itself must not be mutated while Run
-// uses it; Design, Workload and cpu/cache configs are plain values, so
-// sharing one Config template across goroutines by copy is fine.
-func Run(cfg Config) Result {
-	res, err := RunContext(context.Background(), cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return res
-}
-
 // RunContext executes the simulation under a context. Invalid caller
 // input — a config failing Validate, an unreadable or corrupt trace
 // file — returns a typed error wrapping errs.ErrBadSpec; internal
@@ -270,8 +248,18 @@ func Run(cfg Config) Result {
 // matching both errs.ErrCancelled and ctx.Err() — while the hot loop
 // pays only a nil-check when the context cannot be cancelled (the
 // event-driven clock's idle skips fast-forward past the poll exactly as
-// they fast-forward past the cycles themselves). RunContext has the same
-// concurrency contract as Run.
+// they fast-forward past the cycles themselves).
+//
+// RunContext is safe for concurrent use: every call builds a private
+// simulator — its own RNG chain seeded from cfg.Seed, trace generators,
+// cores, LLC and memory controller — and the package keeps no mutable
+// global state. Results depend only on cfg, never on what other
+// goroutines are doing, which is what lets the experiment runner
+// (internal/experiments) fan independent runs out over a worker pool
+// while remaining bit-for-bit deterministic. The Config value itself
+// must not be mutated while a run uses it; Design, Workload and
+// cpu/cache configs are plain values, so sharing one Config template
+// across goroutines by copy is fine.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.TraceFile != "" {
 		// The streaming reader loads only the header and frame index here;

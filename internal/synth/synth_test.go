@@ -83,7 +83,10 @@ func TestSynthesizeBeatsPaperOnABACuS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("champion spec: %v", err)
 	}
-	res := security.Run(cfg, pattern)
+	res, err := security.RunContext(context.Background(), cfg, pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.MaxDamage != rep.ChampionDamage {
 		t.Fatalf("champion replay damage %.6f != reported %.6f", res.MaxDamage, rep.ChampionDamage)
 	}

@@ -232,72 +232,29 @@ func (l *Lab) withClock(cfg SimConfig) SimConfig {
 
 // Run executes one performance simulation. Invalid input — a config
 // failing SimConfig.Validate, an unreadable trace file — returns an
-// error matching ErrBadSpec; cancellation stops the simulator within
-// one macro cycle and returns an error matching ErrCancelled and
-// ctx.Err(). With a store attached the result is served from — and
-// persisted to — the content-addressed cache, emitting spec
-// started/cache-hit/finished progress events either way.
+// error matching ErrBadSpec; a dead or cancelled ctx returns an error
+// matching ErrCancelled and ctx.Err(), regardless of cache warmth, and
+// stops a running simulator within one macro cycle. With a store
+// attached the result is served from — and persisted to — the
+// content-addressed cache, and a compatible cached warmup checkpoint
+// replaces re-simulating warmup. Spec started/cache-hit/finished
+// progress events are emitted either way. It is the same execution
+// path every sweep simulation takes.
 func (l *Lab) Run(ctx context.Context, cfg SimConfig) (SimResult, error) {
-	// Uniform cancellation regardless of cache warmth: a dead context
-	// fails here, exactly as it would through Lab.Experiments, instead
-	// of succeeding whenever the store happens to be warm.
-	if err := ctx.Err(); err != nil {
-		return SimResult{}, fmt.Errorf("impress: run not started: %w", errs.Cancelled(err))
-	}
 	cfg = l.withClock(cfg)
-	if l.store == nil && l.progress == nil {
-		return sim.RunContext(ctx, cfg)
-	}
 	// The store key requires the canonical spec — for trace replays
-	// that means reading and hashing the file. Without a store the
-	// label is derived from the config directly, so a store-less
-	// progress-observed replay does not read its trace twice; its
-	// events carry an empty Key.
+	// that means reading and hashing the file — so it is derived only
+	// when a store will use it; store-less events carry an empty Key.
 	var sp resultstore.Spec
-	var key, label string
+	var key string
 	if l.store != nil {
 		var err error
 		if sp, err = resultstore.SpecFor(cfg); err != nil {
 			return SimResult{}, fmt.Errorf("%w: %w", ErrBadSpec, err)
 		}
-		label = sp.Workload
-		if label == "" {
-			label = "trace:" + sp.TraceSHA256[:12]
-		}
 		key = string(sp.Key())
-	} else {
-		label = cfg.Workload.Name
-		if cfg.TraceFile != "" {
-			label = "trace:" + cfg.TraceFile
-		}
 	}
-	label = fmt.Sprintf("%s/%s/%s", label, cfg.Design.Name(), cfg.Tracker)
-	l.emit(Progress{Kind: ProgressSpecStarted, Spec: label, Key: key})
-	if l.store != nil {
-		if res, ok := l.store.Get(sp); ok {
-			l.emit(Progress{Kind: ProgressSpecCacheHit, Spec: label, Key: key})
-			return res, nil
-		}
-	}
-	// With a store attached, warmup checkpoints ride the same cache: a
-	// compatible cached checkpoint restores post-warmup state instead of
-	// re-simulating warmup, and a cold run publishes one for the specs
-	// that share its warmup prefix.
-	var restored bool
-	if l.store != nil {
-		restored = l.store.AttachCheckpoints(&cfg)
-	}
-	res, err := sim.RunContext(ctx, cfg)
-	if err != nil {
-		return SimResult{}, err
-	}
-	l.emit(Progress{Kind: ProgressSpecFinished, Spec: label, Key: key, Cycles: res.Cycles, WarmupRestored: restored})
-	if l.store != nil {
-		// A failed write loses persistence, not the run; it is counted
-		// in the store's Counters.
-		_ = l.store.Put(sp, res)
-	}
-	return res, nil
+	return experiments.Simulate(ctx, l.store, l.emit, cfg, sp, key)
 }
 
 // Attack replays an adversarial pattern through the single-bank
@@ -423,9 +380,10 @@ func DefaultAttackZooDir() string { return attack.DefaultZooDir() }
 func AttackZooEntries(dir string) ([]AttackZooEntry, error) { return attack.ZooEntries(dir) }
 
 // Record drains perCore requests per core from the workload's
-// generators into a replayable trace (see RecordTrace for the
-// replay-equivalence contract). Invalid counts return ErrBadSpec;
-// cancellation is honored every few thousand generated requests.
+// generators (seeded as a live simulation would seed them) into a
+// replayable trace whose simulation is bit-identical to the live run
+// (DESIGN.md §7). Invalid counts return ErrBadSpec; cancellation is
+// honored every few thousand generated requests.
 func (l *Lab) Record(ctx context.Context, w Workload, cores, perCore int, seed uint64) (*WorkloadTrace, error) {
 	return trace.RecordContext(ctx, w, cores, perCore, seed)
 }
@@ -449,8 +407,3 @@ func (l *Lab) Replay(ctx context.Context, path string, cfg SimConfig) (SimResult
 	cfg.TraceFile = path
 	return l.Run(ctx, cfg)
 }
-
-// defaultLab serves the deprecated free-function wrappers: no store, no
-// progress stream, GOMAXPROCS parallelism — exactly the behavior the
-// free functions always had.
-var defaultLab = &Lab{}

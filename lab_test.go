@@ -21,24 +21,6 @@ func labTestConfig(t *testing.T) impress.SimConfig {
 	return cfg
 }
 
-// TestLabRunMatchesDeprecatedRunSim pins the migration contract: the
-// deprecated free function and the Lab produce bit-identical results.
-func TestLabRunMatchesDeprecatedRunSim(t *testing.T) {
-	lab, err := impress.NewLab()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := labTestConfig(t)
-	got, err := lab.Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1019 the migration contract compares against the deprecated wrapper
-	if want := impress.RunSim(cfg); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Lab.Run diverged from RunSim:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 // TestLabRunStoreRoundTrip: a Lab with a store serves the second run
 // from disk, bit-identically, and streams the expected progress events.
 func TestLabRunStoreRoundTrip(t *testing.T) {
